@@ -22,6 +22,7 @@ from .montecarlo import (
     ExperimentConfig,
     default_phi_grid,
     run_ber_sweep,
+    run_environment,
     run_phi_sweep,
     run_rsr_sweep,
 )
@@ -64,6 +65,13 @@ class UsageError(ValueError):
     pass
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on (its CPU affinity, where the OS reports one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _checked_config(**kwargs) -> ExperimentConfig:
     """Build a config, reporting validation failures as usage errors."""
     try:
@@ -102,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config or manifest JSON from a previous run")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
-        p.add_argument("--threads", type=int, help="worker processes (default: all cores)")
+        p.add_argument("--threads", type=int, help="worker processes (default: one per usable core)")
         p.add_argument("--svg", action="store_true", help="also write an SVG plot")
         p.add_argument("--m", type=int, help="number of receivers")
         p.add_argument("--n", type=int, help="number of user antennas")
@@ -170,7 +178,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             resolved[key] = type(default)(v) if not isinstance(default, str) else str(v)
         else:
             resolved[key] = default
-    for key, default in (("seed", DEFAULT_SEED), ("threads", os.cpu_count() or 1)):
+    for key, default in (("seed", DEFAULT_SEED), ("threads", _usable_cores())):
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
@@ -199,6 +207,8 @@ def _write_manifest(path: str, command: str, resolved: dict, outputs: list[str])
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,
+        # how the run executed; never read back, so replaying stays byte-identical
+        "env": run_environment(resolved["threads"]),
         "note": "channel, reference and noise are redrawn every trial (fast fading)",
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -211,6 +221,8 @@ def _phi_grid_from(resolved: dict) -> tuple[tuple[float, ...], list[float]]:
     requested = _float_list(resolved.get("phi_grid", ""))
     if not requested:
         requested = default_phi_grid()
+    if not all(math.isfinite(p) for p in requested):
+        raise UsageError(f"phi grid must hold finite numbers, got {requested}")
     skipped = [p for p in requested if abs(math.sin(p)) < SIN_PHI_TOL]
     return requested, skipped
 

@@ -6,14 +6,23 @@ per-point results are reduced in trial order, so error and bit counts are
 identical for any worker count.  Sweep points get independent sub-seeds,
 except the reference-strength sweep, which reuses the same draws at every
 strength so the recovery error can be compared pathwise across points.
+
+Pool workers run OpenBLAS on one thread each, so W workers keep W cores busy
+instead of W times OpenBLAS's own thread count; the parent process keeps its
+BLAS threads for serial runs.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import multiprocessing
+import os
+import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +41,7 @@ from .reconstruct import SIN_PHI_TOL, reconstruct_general, reconstruct_optimal
 
 SCHEMES = ("prss", "single_shot", "rf_baseline")
 DETECTORS = ("ml", "zf")
+QAM_ORDERS = (0, 4, 16, 64)  # 0 = scheme default
 
 PI_HALF = math.pi / 2
 
@@ -87,6 +97,17 @@ class ExperimentConfig:
             raise ValueError(f"sigma_v_sq must be >= 0, got {self.sigma_v_sq}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.qam_order not in QAM_ORDERS:
+            raise ValueError(f"qam_order must be one of {QAM_ORDERS}, got {self.qam_order}")
+        for name in ("rsr_db", "phi", "sigma_v_sq"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("snr_db_list", "phi_list", "rsr_db_list", "sigma_v_sq_list"):
+            bad = [v for v in getattr(self, name) if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"{name} must hold finite numbers, got {bad[0]}")
+        if self.scheme == "prss" and abs(math.sin(self.phi)) < SIN_PHI_TOL:
+            raise ValueError(f"phi={self.phi!r} is a singular offset for prss (sin(phi) = 0)")
 
     @property
     def order(self) -> int:
@@ -283,8 +304,99 @@ def _variance_point(cfg: ExperimentConfig, pool) -> tuple[float, int]:
     return float(np.sum(per_trial) / (trials * cfg.m)), trials * cfg.m
 
 
+class _BlasThreads(NamedTuple):
+    set: Callable[[int], None]
+    get: Callable[[], int]
+    shutdown: Callable[[], int] | None
+
+
+# (set, get) thread-count symbols: numpy's bundled scipy-openblas, then plain OpenBLAS
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+# OpenBLAS's own pre-fork handler: stops the thread team, which the next call
+# that needs more than one thread starts again
+_BLAS_SHUTDOWN = "blas_thread_shutdown_"
+
+
+@lru_cache(maxsize=1)
+def _blas_threads() -> _BlasThreads | None:
+    """Thread controls of the OpenBLAS this process has loaded, or None.
+
+    None when the process maps no OpenBLAS (another BLAS, or no /proc) or the
+    library exports neither symbol pair; pool workers then keep BLAS's default.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({
+                fields[5].strip() for fields in (line.split(maxsplit=5) for line in fh)
+                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower()
+            })
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _BLAS_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                set_fn, get_fn = getattr(lib, set_name), getattr(lib, get_name)
+                set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+                get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+                shutdown = getattr(lib, _BLAS_SHUTDOWN, None)
+                if shutdown is not None:
+                    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                return _BlasThreads(set_fn, get_fn, shutdown)
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: W workers on W cores must not each start a BLAS team."""
+    api = _blas_threads()
+    if api is None:
+        return
+    api.set(1)
+    # In a forked child the call above restarts OpenBLAS's thread team, which
+    # spin-waits for about 0.1 s of CPU before it sleeps. Stop it: at one
+    # thread no BLAS call starts it again.
+    if api.shutdown is not None:
+        api.shutdown()
+
+
 def _pool(cfg: ExperimentConfig):
-    return ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    if cfg.workers == 1:
+        return None
+    # resolve in the parent: forked workers inherit the cached result, so each
+    # pays one call instead of a maps scan and dlopen; spawned ones resolve anew
+    _blas_threads()
+    return ProcessPoolExecutor(max_workers=cfg.workers, initializer=_one_blas_thread)
+
+
+def run_environment(workers: int) -> dict:
+    """Interpreter, numpy/BLAS build and pool settings of a run, for its manifest.
+
+    blas_threads_per_worker is 1 when pool workers are capped, the process's
+    own OpenBLAS thread count for a serial run, and None when unknown.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.26 prints its config only
+        blas = None
+    api = _blas_threads()
+    if api is None:
+        per_worker = None
+    else:
+        per_worker = 1 if workers > 1 else api.get()
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "start_method": multiprocessing.get_start_method(),
+        "workers": workers,
+        "blas_threads_per_worker": per_worker,
+    }
 
 
 def run_ber_sweep(cfg: ExperimentConfig) -> list[BerSweepRecord]:

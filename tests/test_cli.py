@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -31,6 +32,35 @@ def test_manifest_rerun_byte_identical(tmp_path):
     assert str(out1 / "ber.csv") in data["outputs"]
     assert main(["ber", "--config", str(manifest), "--out", str(out2)]) == 0
     assert (out1 / "ber.csv").read_bytes() == (out2 / "ber.csv").read_bytes()
+
+
+def test_manifest_records_run_environment(tmp_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(BER_ARGS + ["--out", str(out1), "--threads", "2"]) == 0
+    data = json.loads((out1 / "ber.manifest.json").read_text())
+    env = data["env"]
+    assert set(env) == {
+        "python", "numpy", "blas", "start_method", "workers", "blas_threads_per_worker",
+    }
+    assert env["numpy"] == np.__version__
+    assert env["workers"] == 2
+    assert env["blas_threads_per_worker"] in (1, None)
+    assert "env" not in data["config"]
+    # the env block never reaches the CSV, and replaying ignores it
+    assert main(["ber", "--config", str(out1 / "ber.manifest.json"), "--threads", "1",
+                 "--out", str(out2)]) == 0
+    assert (out1 / "ber.csv").read_bytes() == (out2 / "ber.csv").read_bytes()
+    assert json.loads((out2 / "ber.manifest.json").read_text())["env"]["workers"] == 1
+
+
+def test_default_threads_is_usable_cores(tmp_path):
+    out = tmp_path / "o"
+    assert main(BER_ARGS + ["--out", str(out)]) == 0
+    threads = json.loads((out / "ber.manifest.json").read_text())["config"]["threads"]
+    if hasattr(os, "sched_getaffinity"):
+        assert threads == len(os.sched_getaffinity(0))
+    else:
+        assert threads == (os.cpu_count() or 1)
 
 
 def test_threads_flag_does_not_change_results(tmp_path):
@@ -96,6 +126,26 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["rsr-sweep", "--rsr-db-list", "", "--out", out]) == 2
     assert main(["ber", "--snr-db-list", "4,x", "--out", out]) == 2
     assert main(["ber", "--config", str(tmp_path / "missing.ini"), "--out", out]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ber", "--qam", "8"],
+    ["ber", "--phi", "0"],
+    ["ber", "--snr-db-list", "nan"],
+    ["ber", "--snr-db-list", "inf"],
+    ["ber", "--snr-db-list", "4,-inf"],
+    ["ber", "--rsr-db", "nan"],
+    ["ber", "--phi", "nan"],
+    ["phi-sweep", "--sigma-v-sq", "inf"],
+    ["phi-sweep", "--phi-grid", "1.5,inf"],
+    ["rsr-sweep", "--rsr-db-list", "20,nan"],
+    ["rsr-sweep", "--sigma-v-sq-list", "inf"],
+    ["trace-curve", "--phi-grid", "nan"],
+])
+def test_bad_input_refused_before_any_trial(tmp_path, argv):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not list(out.glob("*.csv"))
 
 
 def test_unknown_flag_exits_2():

@@ -1,10 +1,12 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ramimo import ExperimentConfig, make_qam, run_ber_sweep, run_phi_sweep, run_rsr_sweep
+from ramimo import montecarlo
 from ramimo.montecarlo import (
     BATCH_TRIALS,
     BerEstimate,
@@ -32,6 +34,31 @@ def test_config_validation():
         ExperimentConfig(workers=0)
     with pytest.raises(ValueError):
         ExperimentConfig(sigma_v_sq=-1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"qam_order": 8},
+    {"qam_order": 32},
+    {"phi": 0.0},
+    {"phi": PI},
+    {"rsr_db": math.nan},
+    {"phi": math.inf},
+    {"sigma_v_sq": math.inf},
+    {"snr_db_list": (10.0, math.nan)},
+    {"phi_list": (PI / 2, -math.inf)},
+    {"rsr_db_list": (math.inf,)},
+    {"sigma_v_sq_list": (0.1, math.nan)},
+])
+def test_config_refuses_bad_numbers(kwargs):
+    with pytest.raises(ValueError):
+        ExperimentConfig(**kwargs)
+
+
+def test_config_accepts_valid_orders_and_unused_phi():
+    for order in (0, 4, 16, 64):
+        ExperimentConfig(qam_order=order)
+    ExperimentConfig(scheme="rf_baseline", phi=0.0)
+    ExperimentConfig(scheme="single_shot", phi=0.0)
 
 
 def test_scheme_default_orders():
@@ -102,6 +129,51 @@ def test_ber_sweep_serial_parallel_identical():
     serial = run_ber_sweep(base)
     parallel = run_ber_sweep(replace(base, workers=3))
     assert serial == parallel
+
+
+def _worker_threads():
+    """(OpenBLAS threads, OS threads) of the process this runs in."""
+    return montecarlo._blas_threads().get(), len(os.listdir("/proc/self/task"))
+
+
+def test_pool_workers_use_one_blas_thread():
+    if montecarlo._blas_threads() is None:
+        pytest.skip("this process has no OpenBLAS with a thread-count control")
+    np.ones((256, 256)) @ np.ones((256, 256))  # the parent's BLAS team is running
+    pool = montecarlo._pool(replace(ExperimentConfig(), workers=2))
+    try:
+        futures = [pool.submit(_worker_threads) for _ in range(4)]
+        # one BLAS thread, and no idle BLAS team left spinning beside it
+        assert [f.result(timeout=60) for f in futures] == [(1, 1)] * 4
+    finally:
+        pool.shutdown()
+
+
+def test_parent_blas_threads_untouched_by_pool():
+    api = montecarlo._blas_threads()
+    if api is None:
+        pytest.skip("this process has no OpenBLAS with a thread-count control")
+    cfg = ExperimentConfig(
+        m=2, n=2, scheme="rf_baseline", detector="zf",
+        snr_db_list=(5.0,), trials=300, master_seed=9, workers=2,
+    )
+    original = api.get()
+    api.set(2)  # a known count other than the workers' 1, whatever ran before
+    try:
+        run_ber_sweep(cfg)
+        assert api.get() == 2
+    finally:
+        api.set(original)
+
+
+def test_parallel_without_blas_control_matches_serial(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: None)
+    base = ExperimentConfig(
+        m=2, n=2, scheme="rf_baseline", detector="zf",
+        snr_db_list=(5.0, 15.0), trials=600, target_errors=100, master_seed=9,
+    )
+    assert run_ber_sweep(replace(base, workers=2)) == run_ber_sweep(base)
+    assert montecarlo.run_environment(2)["blas_threads_per_worker"] is None
 
 
 def test_variance_sweep_serial_parallel_identical():
