@@ -6,9 +6,6 @@ __version__ = "0.1.0"
 
 from .constellation import Constellation, make_qam, modulate, quantize, demap
 from .channel import (
-    ChannelRealization,
-    ReferenceSignal,
-    NoiseSpec,
     draw_channel,
     draw_reference,
     draw_noise,
@@ -17,9 +14,7 @@ from .channel import (
 )
 from .frontend import DualSlotObservation, observe_single, observe_prss
 from .reconstruct import (
-    EffectiveObservation,
     ReconstructedSignal,
-    MeasurementMatrix,
     DegenerateReferenceError,
     SingularOffsetError,
     effective_observations,
@@ -40,7 +35,6 @@ from .detect import (
 )
 from .montecarlo import (
     ExperimentConfig,
-    TrialResult,
     BerEstimate,
     BerSweepRecord,
     PhiSweepRecord,

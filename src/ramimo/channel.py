@@ -8,8 +8,6 @@ of execution order or worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # role ids for the per-trial streams
@@ -33,49 +31,20 @@ def derive_point_seed(seed: int, point_index: int) -> int:
     return int(key.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Complex M x N gain matrix with i.i.d. CN(0, 1/N) entries."""
-
-    H: np.ndarray
-    M: int
-    N: int
-
-
-@dataclass(frozen=True)
-class ReferenceSignal:
-    """Reference tone r: fixed magnitude sqrt(RSR_linear / N), random phases."""
-
-    r: np.ndarray
-    rsr_db: float
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Per-receiver circular complex Gaussian noise variance."""
-
-    sigma_v_sq: float
-
-    def __post_init__(self):
-        if self.sigma_v_sq < 0:
-            raise ValueError(f"noise variance must be >= 0, got {self.sigma_v_sq}")
-
-
 def _check_dims(M: int, N: int) -> None:
     if M < 1 or N < 1:
         raise ValueError(f"dimensions must be positive, got M={M}, N={N}")
 
 
-def draw_channel(M: int, N: int, rng: np.random.Generator) -> ChannelRealization:
-    """Draw an M x N Rayleigh channel, entry variance 1/N."""
+def draw_channel(M: int, N: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw an M x N Rayleigh channel: i.i.d. CN(0, 1/N) entries."""
     _check_dims(M, N)
     scale = np.sqrt(0.5 / N)
-    H = scale * (rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N)))
-    return ChannelRealization(H=H, M=M, N=N)
+    return scale * (rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N)))
 
 
-def draw_reference(M: int, N: int, rsr_db: float, rng: np.random.Generator) -> ReferenceSignal:
-    """Draw the length-M reference tone for a target reference-to-signal ratio.
+def draw_reference(M: int, N: int, rsr_db: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw the length-M reference tone r for a target reference-to-signal ratio.
 
     With unit-energy symbols one user's contribution at a receiver has power
     1/N, so |r_m| = sqrt(10^(rsr_db/10) / N) exactly; only the per-receiver
@@ -84,12 +53,14 @@ def draw_reference(M: int, N: int, rsr_db: float, rng: np.random.Generator) -> R
     _check_dims(M, N)
     magnitude = np.sqrt(10.0 ** (rsr_db / 10.0) / N)
     phase = np.pi - rng.uniform(0.0, 2.0 * np.pi, size=M)
-    return ReferenceSignal(r=magnitude * np.exp(1j * phase), rsr_db=rsr_db)
+    return magnitude * np.exp(1j * phase)
 
 
-def draw_noise(M: int, spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
+def draw_noise(M: int, sigma_v_sq: float, rng: np.random.Generator) -> np.ndarray:
     """Draw length-M circular complex Gaussian noise of variance sigma_v_sq."""
     if M < 1:
         raise ValueError(f"M must be positive, got {M}")
-    scale = np.sqrt(0.5 * spec.sigma_v_sq)
+    if sigma_v_sq < 0:
+        raise ValueError(f"noise variance must be >= 0, got {sigma_v_sq}")
+    scale = np.sqrt(0.5 * sigma_v_sq)
     return scale * (rng.standard_normal(M) + 1j * rng.standard_normal(M))

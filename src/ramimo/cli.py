@@ -19,17 +19,18 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .montecarlo import (
+    DETECTORS,
+    SCHEMES,
     ExperimentConfig,
     default_phi_grid,
     run_ber_sweep,
     run_environment,
     run_phi_sweep,
     run_rsr_sweep,
+    split_singular,
 )
-from .reconstruct import SIN_PHI_TOL, predicted_mse, predicted_trace
+from .reconstruct import predicted_mse, predicted_trace
 from .svgplot import write_svg
-
-DEFAULT_SEED = 20260808
 
 # built-in defaults per command (the m=512/n=2 variance-study geometry keeps
 # the Taylor bias small while vectorizing the per-receiver statistics)
@@ -109,7 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="INI config or manifest JSON from a previous run")
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
+        p.add_argument("--seed", type=int,
+                       help=f"master seed (default {ExperimentConfig.master_seed})")
         p.add_argument("--threads", type=int, help="worker processes (default: one per usable core)")
         p.add_argument("--svg", action="store_true", help="also write an SVG plot")
         p.add_argument("--m", type=int, help="number of receivers")
@@ -131,8 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ber", help="BER vs SNR for one scheme/detector")
     common(p)
-    p.add_argument("--scheme", choices=("prss", "single_shot", "rf_baseline"))
-    p.add_argument("--detector", choices=("ml", "zf"))
+    p.add_argument("--scheme", choices=SCHEMES)
+    p.add_argument("--detector", choices=DETECTORS)
     p.add_argument("--rsr-db", type=float, help="reference-to-signal ratio in dB")
     p.add_argument("--snr-db-list", help="comma list of SNR points in dB")
     p.add_argument("--trials", type=int, help="max trials per SNR point")
@@ -168,22 +170,16 @@ def _load_config_layer(path: str, command: str) -> dict:
 def _resolve(args: argparse.Namespace, command: str) -> dict:
     """Materialize the full config: flags over config file over defaults."""
     layer = _load_config_layer(args.config, command) if args.config else {}
+    defaults = {
+        **DEFAULTS[command], "seed": ExperimentConfig.master_seed, "threads": _usable_cores(),
+    }
     resolved = {}
-    for key, default in DEFAULTS[command].items():
+    for key, default in defaults.items():
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
         elif key in layer:
-            v = layer[key]
-            resolved[key] = type(default)(v) if not isinstance(default, str) else str(v)
-        else:
-            resolved[key] = default
-    for key, default in (("seed", DEFAULT_SEED), ("threads", _usable_cores())):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in layer:
-            resolved[key] = int(layer[key])
+            resolved[key] = type(default)(layer[key])
         else:
             resolved[key] = default
     resolved["svg"] = bool(args.svg or str(layer.get("svg", "")).lower() in ("1", "true", "yes"))
@@ -216,27 +212,25 @@ def _write_manifest(path: str, command: str, resolved: dict, outputs: list[str])
         fh.write("\n")
 
 
-def _phi_grid_from(resolved: dict) -> tuple[tuple[float, ...], list[float]]:
-    """Requested grid plus the singular points that will be skipped."""
-    requested = _float_list(resolved.get("phi_grid", ""))
-    if not requested:
-        requested = default_phi_grid()
+def _phi_grid_from(resolved: dict) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(usable, skipped) offsets of the requested grid; warns about each skipped one."""
+    requested = _float_list(resolved["phi_grid"]) or default_phi_grid()
     if not all(math.isfinite(p) for p in requested):
         raise UsageError(f"phi grid must hold finite numbers, got {requested}")
-    skipped = [p for p in requested if abs(math.sin(p)) < SIN_PHI_TOL]
-    return requested, skipped
+    usable, skipped = split_singular(requested)
+    for p in skipped:
+        print(f"warning: skipping phi={p!r}: singular offset", file=sys.stderr)
+    if not usable:
+        raise UsageError("phi grid contains no usable (non-singular) offsets")
+    return usable, skipped
 
 
 def _cmd_phi_sweep(resolved: dict, out_dir: str) -> list[str]:
-    grid, skipped = _phi_grid_from(resolved)
-    for p in skipped:
-        print(f"warning: skipping phi={p!r}: singular offset", file=sys.stderr)
-    if len(skipped) == len(grid):
-        raise UsageError("phi grid contains no usable (non-singular) offsets")
+    usable, skipped = _phi_grid_from(resolved)
     cfg = _checked_config(
         m=resolved["m"], n=resolved["n"], scheme="prss", qam_order=resolved["qam"],
         rsr_db=resolved["rsr_db"], sigma_v_sq=resolved["sigma_v_sq"],
-        phi_list=grid, samples=resolved["samples"],
+        phi_list=usable, samples=resolved["samples"],
         master_seed=resolved["seed"], workers=resolved["threads"],
     )
     records = run_phi_sweep(cfg)
@@ -327,14 +321,13 @@ def _cmd_ber(resolved: dict, out_dir: str) -> list[str]:
 
 
 def _cmd_trace_curve(resolved: dict, out_dir: str) -> list[str]:
-    grid, skipped = _phi_grid_from(resolved)
-    for p in skipped:
-        print(f"warning: skipping phi={p!r}: singular offset", file=sys.stderr)
-    usable = [p for p in grid if abs(math.sin(p)) >= SIN_PHI_TOL]
-    if not usable:
-        raise UsageError("phi grid contains no usable (non-singular) offsets")
     u_mod = resolved["u_mod"]
     sv = resolved["sigma_v_sq"]
+    if not (math.isfinite(u_mod) and u_mod > 0):
+        raise UsageError(f"u-mod must be finite and > 0, got {u_mod}")
+    if not (math.isfinite(sv) and sv >= 0):
+        raise UsageError(f"sigma-v-sq must be finite and >= 0, got {sv}")
+    usable, skipped = _phi_grid_from(resolved)
     rows = [
         [_g(p), _g(predicted_trace(p, u_mod)), _g(predicted_mse(p, sv)), _g(sv), _g(u_mod)]
         for p in usable

@@ -26,16 +26,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import (
-    NoiseSpec,
-    derive_point_seed,
-    draw_channel,
-    draw_noise,
-    draw_reference,
-    stream_rng,
-)
+from .channel import derive_point_seed, draw_channel, draw_noise, draw_reference, stream_rng
 from .constellation import demap, make_qam, modulate
-from .detect import ml_linear, ml_single_shot, zf_linear
+from .detect import DEFAULT_SEARCH_BUDGET, ml_linear, ml_single_shot, zf_linear
 from .frontend import observe_prss, observe_single
 from .reconstruct import SIN_PHI_TOL, reconstruct_general, reconstruct_optimal
 
@@ -108,18 +101,19 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must hold finite numbers, got {bad[0]}")
         if self.scheme == "prss" and abs(math.sin(self.phi)) < SIN_PHI_TOL:
             raise ValueError(f"phi={self.phi!r} is a singular offset for prss (sin(phi) = 0)")
+        # a BER sweep's ML search must fit the budget; variance sweeps never detect
+        if (self.snr_db_list and self.detector == "ml"
+                and self.order**self.n > DEFAULT_SEARCH_BUDGET):
+            raise ValueError(
+                f"ml search over {self.order}^{self.n} = {self.order**self.n} candidates "
+                f"exceeds the budget of {DEFAULT_SEARCH_BUDGET}"
+            )
 
     @property
     def order(self) -> int:
         if self.qam_order:
             return self.qam_order
         return 16 if self.scheme == "prss" else 4
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    bit_errors: int
-    bits: int
 
 
 @dataclass(frozen=True)
@@ -180,71 +174,74 @@ def snr_db_to_sigma_v_sq(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
+def split_singular(grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(usable, skipped) phase offsets in grid order; skipped ones have sin(phi) ~ 0."""
+    usable, skipped = [], []
+    for p in grid:
+        (skipped if abs(math.sin(p)) < SIN_PHI_TOL else usable).append(p)
+    return tuple(usable), tuple(skipped)
+
+
 def default_phi_grid(step: float = math.pi / 36) -> tuple[float, ...]:
     """Offsets covering (-pi, pi] at the given step, singular points removed."""
     count = round(math.pi / step)
-    grid = (np.arange(-count + 1, count + 1) * step).tolist()
-    return tuple(p for p in grid if abs(math.sin(p)) >= SIN_PHI_TOL)
+    return split_singular((np.arange(-count + 1, count + 1) * step).tolist())[0]
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
-    """One detection trial: fresh bits, channel, reference, noise; count bit errors."""
+def _draw_trial(cfg: ExperimentConfig, trial_index: int, scheme: str):
+    """Trial draws (bits, x, H, r, v1, v2) for `scheme`.
+
+    Only the streams the scheme reads are derived: rf_baseline has no
+    reference (r is None) and only prss has a second slot's noise (else v2
+    is None).  Streams are keyed by role, so skipping one moves no other.
+    """
     c = _alphabet(cfg.order)
     seed = cfg.master_seed
     bits = stream_rng(seed, trial_index, "bits").integers(0, 2, cfg.n * c.bits_per_symbol)
     x = modulate(bits, c)
-    H = draw_channel(cfg.m, cfg.n, stream_rng(seed, trial_index, "channel")).H
-    spec = NoiseSpec(cfg.sigma_v_sq)
-    v1 = draw_noise(cfg.m, spec, stream_rng(seed, trial_index, "noise1"))
+    H = draw_channel(cfg.m, cfg.n, stream_rng(seed, trial_index, "channel"))
+    v1 = draw_noise(cfg.m, cfg.sigma_v_sq, stream_rng(seed, trial_index, "noise1"))
+    r = v2 = None
+    if scheme != "rf_baseline":
+        r = draw_reference(cfg.m, cfg.n, cfg.rsr_db, stream_rng(seed, trial_index, "reference"))
+    if scheme == "prss":
+        v2 = draw_noise(cfg.m, cfg.sigma_v_sq, stream_rng(seed, trial_index, "noise2"))
+    return bits, x, H, r, v1, v2
 
-    if cfg.scheme == "rf_baseline":
-        s_obs = H @ x + v1  # complex observation, no magnitude readout
-        det = ml_linear(s_obs, H, c) if cfg.detector == "ml" else zf_linear(s_obs, H, c)
-    elif cfg.scheme == "single_shot":
-        r = draw_reference(cfg.m, cfg.n, cfg.rsr_db, stream_rng(seed, trial_index, "reference")).r
-        z = observe_single(H, x, r, v1)
-        det = ml_single_shot(z, H, r, c)
+
+def run_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[int, int]:
+    """One detection trial on fresh draws; returns (bit_errors, bits)."""
+    c = _alphabet(cfg.order)
+    bits, x, H, r, v1, v2 = _draw_trial(cfg, trial_index, cfg.scheme)
+    if cfg.scheme == "single_shot":
+        det = ml_single_shot(observe_single(H, x, r, v1), H, r, c)
     else:
-        r = draw_reference(cfg.m, cfg.n, cfg.rsr_db, stream_rng(seed, trial_index, "reference")).r
-        v2 = draw_noise(cfg.m, spec, stream_rng(seed, trial_index, "noise2"))
-        obs = observe_prss(H, x, r, v1, v2, cfg.phi)
-        if abs(abs(cfg.phi) - PI_HALF) < 1e-12:
-            rec = reconstruct_optimal(obs, r, sign=1 if cfg.phi > 0 else -1)
+        if cfg.scheme == "rf_baseline":
+            s = H @ x + v1  # complex observation, no magnitude readout
         else:
-            rec = reconstruct_general(obs, r, cfg.phi)
-        det = (
-            ml_linear(rec.s_hat, H, c)
-            if cfg.detector == "ml"
-            else zf_linear(rec.s_hat, H, c)
-        )
-
-    errors = int(np.count_nonzero(demap(det.x_hat, c) != bits))
-    return TrialResult(bit_errors=errors, bits=bits.size)
+            obs = observe_prss(H, x, r, v1, v2, cfg.phi)
+            if abs(abs(cfg.phi) - PI_HALF) < 1e-12:
+                s = reconstruct_optimal(obs, r, sign=1 if cfg.phi > 0 else -1).s_hat
+            else:
+                s = reconstruct_general(obs, r, cfg.phi).s_hat
+        det = ml_linear(s, H, c) if cfg.detector == "ml" else zf_linear(s, H, c)
+    return int(np.count_nonzero(demap(det.x_hat, c) != bits)), bits.size
 
 
 def run_variance_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
     """One reconstruction trial: returns (s_hat, s) with s = Hx kept as ground truth."""
-    c = _alphabet(cfg.order)
-    seed = cfg.master_seed
-    bits = stream_rng(seed, trial_index, "bits").integers(0, 2, cfg.n * c.bits_per_symbol)
-    x = modulate(bits, c)
-    H = draw_channel(cfg.m, cfg.n, stream_rng(seed, trial_index, "channel")).H
-    r = draw_reference(cfg.m, cfg.n, cfg.rsr_db, stream_rng(seed, trial_index, "reference")).r
-    spec = NoiseSpec(cfg.sigma_v_sq)
-    v1 = draw_noise(cfg.m, spec, stream_rng(seed, trial_index, "noise1"))
-    v2 = draw_noise(cfg.m, spec, stream_rng(seed, trial_index, "noise2"))
+    _, x, H, r, v1, v2 = _draw_trial(cfg, trial_index, "prss")
     obs = observe_prss(H, x, r, v1, v2, cfg.phi)
-    rec = reconstruct_general(obs, r, cfg.phi)
-    return rec.s_hat, H @ x
+    return reconstruct_general(obs, r, cfg.phi).s_hat, H @ x
 
 
 def _ber_block(cfg: ExperimentConfig, start: int, stop: int) -> tuple[int, int]:
     errors = 0
     bits = 0
     for t in range(start, stop):
-        res = run_trial(cfg, t)
-        errors += res.bit_errors
-        bits += res.bits
+        e, b = run_trial(cfg, t)
+        errors += e
+        bits += b
     return errors, bits
 
 
@@ -434,8 +431,7 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[BerSweepRecord]:
 
 def run_phi_sweep(cfg: ExperimentConfig) -> list[PhiSweepRecord]:
     """Reconstruction error vs phase offset; fresh draws at every offset."""
-    grid = cfg.phi_list or default_phi_grid()
-    usable = [p for p in grid if abs(math.sin(p)) >= SIN_PHI_TOL]
+    usable, _ = split_singular(cfg.phi_list or default_phi_grid())
     if not usable:
         raise ValueError("phi grid contains no usable (non-singular) offsets")
     records = []

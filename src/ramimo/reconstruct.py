@@ -29,31 +29,11 @@ class SingularOffsetError(ValueError):
 
 
 @dataclass(frozen=True)
-class EffectiveObservation:
-    """Amplitude readouts with the known reference magnitude removed."""
-
-    y1: np.ndarray
-    y2: np.ndarray
-
-
-@dataclass(frozen=True)
 class ReconstructedSignal:
     """Complex estimate of the received signal plus the phase normalizers used."""
 
     s_hat: np.ndarray
     u: np.ndarray
-
-
-@dataclass(frozen=True)
-class MeasurementMatrix:
-    """2x2 real matrix mapping (Re s, Im s) to the two effective observations.
-
-    Rows are [Re u, -Im u] and [Re(u e^{j phi}), -Im(u e^{j phi})]; the
-    determinant is -sin(phi) for unit-modulus u.
-    """
-
-    a: np.ndarray
-    phi: float
 
 
 def _normalizers(r: np.ndarray) -> np.ndarray:
@@ -64,14 +44,16 @@ def _normalizers(r: np.ndarray) -> np.ndarray:
     return np.conj(r) / mag
 
 
-def effective_observations(z: DualSlotObservation, r: np.ndarray) -> EffectiveObservation:
-    """Subtract the known reference magnitude from both slots' readouts."""
+def effective_observations(
+    z: DualSlotObservation, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both slots' readouts (y1, y2) with the known reference magnitude removed."""
     mag = np.abs(np.asarray(r))
     if z.z1.shape != mag.shape or z.z2.shape != mag.shape:
         raise ValueError(
             f"length mismatch: z1 {z.z1.shape}, z2 {z.z2.shape}, r {mag.shape}"
         )
-    return EffectiveObservation(y1=z.z1 - mag, y2=z.z2 - mag)
+    return z.z1 - mag, z.z2 - mag
 
 
 def reconstruct_optimal(
@@ -91,19 +73,26 @@ def reconstruct_optimal(
             f"observation was taken at phi={z.phi}, not the quarter-turn {sign * np.pi / 2}"
         )
     u = _normalizers(r)
-    y = effective_observations(z, r)
-    s_hat = np.conj(u) * (y.y1 - 1j * sign * y.y2)
+    y1, y2 = effective_observations(z, r)
+    s_hat = np.conj(u) * (y1 - 1j * sign * y2)
     return ReconstructedSignal(s_hat=s_hat, u=u)
 
 
-def build_measurement_matrix(u_m: complex, phi: float) -> MeasurementMatrix:
-    """Per-receiver projection matrix for a unit-modulus phase normalizer."""
-    rot = u_m * np.exp(1j * phi)
-    a = np.array(
-        [[u_m.real, -u_m.imag], [rot.real, -rot.imag]],
-        dtype=float,
-    )
-    return MeasurementMatrix(a=a, phi=phi)
+def build_measurement_matrix(u, phi: float) -> np.ndarray:
+    """Real 2x2 matrices mapping (Re s, Im s) to the two effective observations.
+
+    Rows are [Re u, -Im u] and [Re(u e^{j phi}), -Im(u e^{j phi})]; the
+    determinant is -sin(phi) for unit-modulus u.  Broadcasts over u: an
+    array of phase normalizers of shape S gives shape S + (2, 2).
+    """
+    u = np.asarray(u, dtype=complex)
+    rot = u * np.exp(1j * phi)
+    a = np.empty(u.shape + (2, 2))
+    a[..., 0, 0] = u.real
+    a[..., 0, 1] = -u.imag
+    a[..., 1, 0] = rot.real
+    a[..., 1, 1] = -rot.imag
+    return a
 
 
 def reconstruct_general(
@@ -118,15 +107,8 @@ def reconstruct_general(
     if abs(np.sin(phi)) < SIN_PHI_TOL:
         raise SingularOffsetError(f"phi={phi} gives a singular measurement matrix")
     u = _normalizers(r)
-    y = effective_observations(z, r)
-    rot = u * np.exp(1j * phi)
-    a = np.empty((u.size, 2, 2))
-    a[:, 0, 0] = u.real
-    a[:, 0, 1] = -u.imag
-    a[:, 1, 0] = rot.real
-    a[:, 1, 1] = -rot.imag
-    rhs = np.stack([y.y1, y.y2], axis=-1)
-    sol = np.linalg.solve(a, rhs[..., None])[..., 0]
+    rhs = np.stack(effective_observations(z, r), axis=-1)
+    sol = np.linalg.solve(build_measurement_matrix(u, phi), rhs[..., None])[..., 0]
     return ReconstructedSignal(s_hat=sol[:, 0] + 1j * sol[:, 1], u=u)
 
 

@@ -141,6 +141,13 @@ def test_usage_errors_exit_2(tmp_path):
     ["rsr-sweep", "--rsr-db-list", "20,nan"],
     ["rsr-sweep", "--sigma-v-sq-list", "inf"],
     ["trace-curve", "--phi-grid", "nan"],
+    ["trace-curve", "--u-mod", "nan"],
+    ["trace-curve", "--u-mod", "0"],
+    ["trace-curve", "--u-mod", "-1"],
+    ["trace-curve", "--sigma-v-sq", "inf"],
+    ["trace-curve", "--sigma-v-sq", "-0.5"],
+    ["ber", "--m", "8", "--n", "8", "--snr-db-list", "10", "--trials", "1"],
+    ["ber", "--scheme", "single_shot", "--n", "16", "--snr-db-list", "10", "--trials", "1"],
 ])
 def test_bad_input_refused_before_any_trial(tmp_path, argv):
     out = tmp_path / "o"

@@ -9,7 +9,6 @@ root with `src` on PYTHONPATH. The test suite itself never writes them.
 
 import difflib
 import math
-import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -92,9 +91,6 @@ def test_csv_matches_golden(case, threads, tmp_path):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name in sorted(CASES):
-        tmp = Path(tempfile.mkdtemp())
-        try:
-            (GOLDEN / f"{name}.csv").write_bytes(_run(name, 1, tmp))
-        finally:
-            shutil.rmtree(tmp)
+        with tempfile.TemporaryDirectory() as tmp:
+            (GOLDEN / f"{name}.csv").write_bytes(_run(name, 1, Path(tmp)))
         print(f"recorded {name}", file=sys.stderr)

@@ -7,6 +7,7 @@ import pytest
 
 from ramimo import ExperimentConfig, make_qam, run_ber_sweep, run_phi_sweep, run_rsr_sweep
 from ramimo import montecarlo
+from ramimo.channel import STREAM_IDS
 from ramimo.montecarlo import (
     BATCH_TRIALS,
     BerEstimate,
@@ -48,6 +49,7 @@ def test_config_validation():
     {"phi_list": (PI / 2, -math.inf)},
     {"rsr_db_list": (math.inf,)},
     {"sigma_v_sq_list": (0.1, math.nan)},
+    {"n": 8, "snr_db_list": (10.0,)},  # 16^8 ML candidates exceed the search budget
 ])
 def test_config_refuses_bad_numbers(kwargs):
     with pytest.raises(ValueError):
@@ -59,6 +61,10 @@ def test_config_accepts_valid_orders_and_unused_phi():
         ExperimentConfig(qam_order=order)
     ExperimentConfig(scheme="rf_baseline", phi=0.0)
     ExperimentConfig(scheme="single_shot", phi=0.0)
+    # the ML budget binds only a BER sweep's ML detector, and admits 64^4 = 2^24 exactly
+    ExperimentConfig(n=8)
+    ExperimentConfig(n=8, detector="zf", snr_db_list=(10.0,))
+    ExperimentConfig(n=4, qam_order=64, snr_db_list=(10.0,))
 
 
 def test_scheme_default_orders():
@@ -71,12 +77,10 @@ def test_scheme_default_orders():
 def test_noiseless_trials_error_free():
     rf = ExperimentConfig(m=8, n=4, scheme="rf_baseline", detector="zf", sigma_v_sq=0.0)
     for t in range(5):
-        res = run_trial(rf, t)
-        assert res.bit_errors == 0 and res.bits == 8
+        assert run_trial(rf, t) == (0, 8)
     prss = ExperimentConfig(m=8, n=4, scheme="prss", detector="ml", rsr_db=120.0, sigma_v_sq=0.0)
     for t in range(3):
-        res = run_trial(prss, t)
-        assert res.bit_errors == 0 and res.bits == 16
+        assert run_trial(prss, t) == (0, 16)
 
 
 def test_trial_determinism():
@@ -85,6 +89,30 @@ def test_trial_determinism():
     a, _ = run_variance_trial(cfg, 7)
     b, _ = run_variance_trial(cfg, 7)
     assert np.array_equal(a, b)
+
+
+def test_trials_derive_only_the_streams_they_use(monkeypatch):
+    derived = []
+    real = montecarlo.stream_rng
+
+    def spy(seed, trial_index, stream):
+        derived.append(stream)
+        return real(seed, trial_index, stream)
+
+    monkeypatch.setattr(montecarlo, "stream_rng", spy)
+    one_slot = ["bits", "channel", "noise1"]
+    expected = {
+        "rf_baseline": one_slot,
+        "single_shot": one_slot + ["reference"],
+        "prss": one_slot + ["reference", "noise2"],
+    }
+    for scheme, streams in expected.items():
+        derived.clear()
+        run_trial(ExperimentConfig(m=4, n=2, scheme=scheme), 3)
+        assert sorted(derived) == sorted(streams), scheme
+    derived.clear()
+    run_variance_trial(ExperimentConfig(m=4, n=2), 3)
+    assert sorted(derived) == sorted(STREAM_IDS)
 
 
 def test_variance_trial_returns_ground_truth_pair():

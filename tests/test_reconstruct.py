@@ -30,27 +30,27 @@ def _random_instance(rng, m=6, sigma=0.1, r_mag=50.0, phi=PI / 2):
 def test_effective_observations_zero_signal():
     r = np.array([2 + 0j, -3j])
     obs = DualSlotObservation(z1=np.abs(r), z2=np.abs(r), phi=PI / 2)
-    eff = effective_observations(obs, r)
-    assert np.array_equal(eff.y1, np.zeros(2))
-    assert np.array_equal(eff.y2, np.zeros(2))
+    y1, y2 = effective_observations(obs, r)
+    assert np.array_equal(y1, np.zeros(2))
+    assert np.array_equal(y2, np.zeros(2))
 
 
 def test_effective_observations_worked_example():
     r = np.array([100.0 + 0j])
     obs = observe_prss(np.array([[1.0 + 0j]]), np.array([1 + 2j]), r,
                        np.zeros(1), np.zeros(1), PI / 2)
-    eff = effective_observations(obs, r)
-    assert abs(eff.y1[0] - (np.sqrt(10205) - 100)) < 1e-12
-    assert abs(eff.y2[0] - (np.sqrt(9605) - 100)) < 1e-12
-    assert abs(eff.y1[0] - 1.0198) < 1e-4
-    assert abs(eff.y2[0] - (-1.9949)) < 1e-4
+    y1, y2 = effective_observations(obs, r)
+    assert abs(y1[0] - (np.sqrt(10205) - 100)) < 1e-12
+    assert abs(y2[0] - (np.sqrt(9605) - 100)) < 1e-12
+    assert abs(y1[0] - 1.0198) < 1e-4
+    assert abs(y2[0] - (-1.9949)) < 1e-4
 
 
 def test_effective_observations_zero_reference_passthrough():
     # r = 0 is degenerate for reconstruction but subtraction still passes z through
     obs = DualSlotObservation(z1=np.array([1.5]), z2=np.array([2.5]), phi=PI / 2)
-    eff = effective_observations(obs, np.zeros(1))
-    assert eff.y1[0] == 1.5 and eff.y2[0] == 2.5
+    y1, y2 = effective_observations(obs, np.zeros(1))
+    assert y1[0] == 1.5 and y2[0] == 2.5
     with pytest.raises(ValueError):
         effective_observations(obs, np.zeros(2))
 
@@ -126,11 +126,11 @@ def test_reconstruct_degenerate_reference():
 
 
 def test_measurement_matrix_examples():
-    a = build_measurement_matrix(1.0 + 0j, PI / 2).a
+    a = build_measurement_matrix(1.0 + 0j, PI / 2)
     assert np.allclose(a, [[1, 0], [0, -1]], atol=1e-12)
-    a0 = build_measurement_matrix(1.0 + 0j, 0.0).a
+    a0 = build_measurement_matrix(1.0 + 0j, 0.0)
     assert np.allclose(a0[0], a0[1], atol=1e-12)  # both rows [1, 0]: singular
-    aj = build_measurement_matrix(1j, PI / 2).a
+    aj = build_measurement_matrix(1j, PI / 2)
     assert np.allclose(aj, [[0, -1], [-1, 0]], atol=1e-12)
 
 
@@ -139,10 +139,17 @@ def test_measurement_matrix_row_structure():
     for _ in range(20):
         u = np.exp(1j * rng.uniform(-PI, PI))
         phi = rng.uniform(-PI, PI)
-        a = build_measurement_matrix(u, phi).a
+        a = build_measurement_matrix(u, phi)
         rot = u * np.exp(1j * phi)
         assert np.allclose(a, [[u.real, -u.imag], [rot.real, -rot.imag]], atol=1e-15)
         assert abs(np.linalg.det(a) + np.sin(phi)) < 1e-12
+    # a vector of normalizers gives one matrix per element, equal to the scalar call
+    u = np.exp(1j * rng.uniform(-PI, PI, 7))
+    phi = rng.uniform(-PI, PI)
+    stack = build_measurement_matrix(u, phi)
+    assert stack.shape == (7, 2, 2)
+    for i in range(u.size):
+        assert np.array_equal(stack[i], build_measurement_matrix(u[i], phi))
 
 
 def test_general_equals_optimal_at_quarter_turn():
@@ -186,7 +193,7 @@ def test_predicted_trace_matches_gram_inversion():
     for _ in range(100):
         u = np.exp(1j * rng.uniform(-PI, PI))
         phi = rng.uniform(0.05, PI - 0.05) * rng.choice([-1.0, 1.0])
-        a = build_measurement_matrix(u, phi).a
+        a = build_measurement_matrix(u, phi)
         numeric = np.trace(np.linalg.inv(a.T @ a))
         assert abs(numeric - predicted_trace(phi, abs(u))) < 1e-10
 
