@@ -154,14 +154,22 @@ def _load_config_layer(path: str, command: str) -> dict:
         raise UsageError(f"config file not found: {path}")
     if path.endswith(".json"):
         with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+            try:
+                manifest = json.load(fh)
+            except ValueError:  # not JSON, or not UTF-8
+                manifest = None
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("config", {}), dict):
+            raise UsageError(f"{path}: not a JSON manifest or config object")
         if manifest.get("command") not in (None, command):
             raise UsageError(
                 f"manifest was written by {manifest.get('command')!r}, not {command!r}"
             )
         return dict(manifest.get("config", manifest))
     ini = configparser.ConfigParser()
-    ini.read(path)
+    try:
+        ini.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise UsageError(f"{path}: not an INI config: {exc}") from exc
     if ini.has_section(command):
         return {k.replace("-", "_"): v for k, v in ini.items(command)}
     return {k.replace("-", "_"): v for k, v in ini.items("DEFAULT")}
@@ -179,7 +187,12 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         if flag is not None:
             resolved[key] = flag
         elif key in layer:
-            resolved[key] = type(default)(layer[key])
+            try:
+                resolved[key] = type(default)(layer[key])
+            except (TypeError, ValueError) as exc:
+                raise UsageError(
+                    f"{args.config}: {key} = {layer[key]!r} is not a valid {type(default).__name__}"
+                ) from exc
         else:
             resolved[key] = default
     resolved["svg"] = bool(args.svg or str(layer.get("svg", "")).lower() in ("1", "true", "yes"))

@@ -128,6 +128,16 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["ber", "--config", str(tmp_path / "missing.ini"), "--out", out]) == 2
 
 
+# unusable config files: name -> (text, what the error must name besides the file)
+BAD_CONFIGS = {
+    "bad_m.ini": ("[ber]\nm = abc\n", "m = 'abc'"),
+    "bad_threads.json": (json.dumps({"command": "ber", "config": {"threads": "x"}}), "threads"),
+    "no_section.ini": ("m = 4\n", "INI"),
+    "truncated.json": ('{"config": ', "JSON"),
+    "list.json": ("[1]", "JSON"),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["ber", "--qam", "8"],
     ["ber", "--phi", "0"],
@@ -148,11 +158,23 @@ def test_usage_errors_exit_2(tmp_path):
     ["trace-curve", "--sigma-v-sq", "-0.5"],
     ["ber", "--m", "8", "--n", "8", "--snr-db-list", "10", "--trials", "1"],
     ["ber", "--scheme", "single_shot", "--n", "16", "--snr-db-list", "10", "--trials", "1"],
+    ["ber", "--config", "bad_m.ini"],
+    ["ber", "--config", "bad_threads.json"],
+    ["ber", "--config", "no_section.ini"],
+    ["ber", "--config", "truncated.json"],
+    ["ber", "--config", "list.json"],
 ])
-def test_bad_input_refused_before_any_trial(tmp_path, argv):
+def test_bad_input_refused_before_any_trial(tmp_path, argv, capsys):
+    for name, (text, _) in BAD_CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in BAD_CONFIGS else a for a in argv]
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 2
     assert not list(out.glob("*.csv"))
+    err = capsys.readouterr().err
+    for name, (_, key) in BAD_CONFIGS.items():
+        if str(tmp_path / name) in argv:
+            assert str(tmp_path / name) in err and key in err
 
 
 def test_unknown_flag_exits_2():

@@ -1,9 +1,14 @@
+import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramimo import (
+    ExperimentConfig,
     IllConditionedChannelError,
     SearchBudgetError,
     make_qam,
@@ -12,9 +17,14 @@ from ramimo import (
     quantize,
     zf_linear,
 )
+from ramimo.detect import _residual_norms
+from ramimo.frontend import observe_prss
+from ramimo.montecarlo import _draw_trial, snr_db_to_sigma_v_sq
+from ramimo.reconstruct import reconstruct_optimal
 
 C4 = make_qam(4)
 C16 = make_qam(16)
+C64 = make_qam(64)
 
 
 def _brute_force_ml(s_hat, H, c):
@@ -27,6 +37,115 @@ def _brute_force_ml(s_hat, H, c):
         if best is None or metric < best[0]:
             best = (metric, x)
     return best
+
+
+@functools.lru_cache(maxsize=8)
+def _all_candidates(order, n):
+    """All J^N candidates in mixed-radix order, first user's index fastest."""
+    digits = (np.arange(order**n)[:, None] // order ** np.arange(n)) % order
+    cand = make_qam(order).points[digits]
+    cand.flags.writeable = False
+    return cand
+
+
+def _exhaustive_ml(s_hat, H, c):
+    """Oracle: score all J^N candidates with ml_linear's rescoring helper.
+
+    The helper scores each row on its own, so scoring in cache-sized slices
+    gives the same bits; np.argmin keeps the lowest index among exact minima.
+    """
+    s_hat, H = np.asarray(s_hat, dtype=complex), np.asarray(H, dtype=complex)
+    cand = _all_candidates(c.order, H.shape[1])
+    metrics = np.concatenate(
+        [_residual_norms(s_hat, H, cand[lo : lo + 4096]) for lo in range(0, len(cand), 4096)]
+    )
+    k = int(np.argmin(metrics))
+    return cand[k], float(metrics[k])
+
+
+def _assert_matches_oracle(s_hat, H, c):
+    res = ml_linear(s_hat, H, c)
+    x, metric = _exhaustive_ml(s_hat, H, c)
+    assert np.array_equal(res.x_hat, x)
+    assert abs(res.metric - metric) <= 1e-12
+
+
+def test_ml_matches_exhaustive_oracle_on_prss_trials():
+    # 2 seeds x 3 SNRs x 50 trials = 300 reconstructed 8x4 16-QAM observations
+    for seed in (104, ExperimentConfig.master_seed):
+        for snr_db in (6.0, 12.0, 18.0):
+            cfg = ExperimentConfig(master_seed=seed, sigma_v_sq=snr_db_to_sigma_v_sq(snr_db))
+            for t in range(50):
+                _, x, H, r, v1, v2 = _draw_trial(cfg, t, "prss")
+                s_hat = reconstruct_optimal(observe_prss(H, x, r, v1, v2, cfg.phi), r).s_hat
+                _assert_matches_oracle(s_hat, H, C16)
+
+
+@pytest.mark.parametrize("m, n, c", [(4, 3, C4), (6, 5, C4), (3, 1, C4), (2, 1, C16), (4, 2, C64)])
+def test_ml_matches_exhaustive_oracle_odd_and_edge_sizes(m, n, c):
+    rng = np.random.default_rng(10 * m + n)
+    for _ in range(20):
+        H = np.sqrt(0.5 / n) * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+        x = c.points[rng.integers(0, c.order, n)]
+        s_hat = H @ x + 0.3 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        _assert_matches_oracle(s_hat, H, c)
+
+
+@st.composite
+def _tie_prone_instances(draw):
+    """Small instances built to hold exact ties: zero and duplicated columns,
+    a zero observation, integer-valued channels."""
+    c = draw(st.sampled_from([C4, C16]))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        ints = st.integers(-2, 2)
+        H = np.array(draw(st.lists(ints, min_size=2 * m * n, max_size=2 * m * n)), dtype=float)
+    else:
+        reals = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+        H = np.array(draw(st.lists(reals, min_size=2 * m * n, max_size=2 * m * n)))
+    H = (H[: m * n] + 1j * H[m * n :]).reshape(m, n)
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        H[:, j] = H[:, i]
+    if draw(st.booleans()):
+        H[:, draw(st.integers(0, n - 1))] = 0.0
+    source = draw(st.sampled_from(["zero", "lattice", "integer"]))
+    if source == "zero":
+        s_hat = np.zeros(m, dtype=complex)
+    elif source == "lattice":
+        s_hat = H @ c.points[draw(st.lists(st.integers(0, c.order - 1), min_size=n, max_size=n))]
+    else:
+        parts = draw(st.lists(st.integers(-3, 3), min_size=2 * m, max_size=2 * m))
+        s_hat = np.array(parts[:m]) + 1j * np.array(parts[m:])
+    return s_hat, H, c
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_tie_prone_instances())
+def test_ml_ties_match_exhaustive_oracle(instance):
+    s_hat, H, c = instance
+    res = ml_linear(s_hat, H, c)
+    x, metric = _exhaustive_ml(s_hat, H, c)
+    assert np.array_equal(res.x_hat, x)
+    assert res.metric == metric
+
+
+def test_ml_64qam_8x4_noiseless_in_bounded_memory():
+    # 2^24 candidates: the screen must run in chunks, not one 128 MB score matrix
+    rng = np.random.default_rng(7)
+    H, _ = np.linalg.qr(rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
+    x = C64.points[rng.integers(0, 64, 4)]
+    s_hat = H @ x
+    tracemalloc.start()
+    try:
+        res = ml_linear(s_hat, H, C64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(res.x_hat, x)
+    assert res.metric < 1e-18
+    assert peak < 32 * 2**20
 
 
 def test_ml_exact_on_identity_channel():
