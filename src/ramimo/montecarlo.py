@@ -3,13 +3,15 @@
 Determinism contract: every trial's random streams are derived only from
 (master_seed, trial_index), trials are scheduled in fixed-size batches, and
 per-point results are reduced in trial order, so error and bit counts are
-identical for any worker count.  Sweep points get independent sub-seeds,
-except the reference-strength sweep, which reuses the same draws at every
-strength so the recovery error can be compared pathwise across points.
+identical for any worker count, whichever process ran which trial.  Sweep
+points get independent sub-seeds, except the reference-strength sweep, which
+reuses the same draws at every strength so the recovery error can be
+compared pathwise across points.
 
-Pool workers run OpenBLAS on one thread each, so W workers keep W cores busy
-instead of W times OpenBLAS's own thread count; the parent process keeps its
-BLAS threads for serial runs.
+A run with W workers forks W - 1 worker processes, and the calling process
+runs trials beside them. While the workers exist, all W processes run
+OpenBLAS on one thread, so they keep W cores busy instead of W times
+OpenBLAS's own thread count; a serial run keeps the process's BLAS threads.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 import multiprocessing
 import os
 import platform
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -253,50 +254,26 @@ def _variance_block(cfg: ExperimentConfig, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def _split(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
-    step = math.ceil((stop - start) / parts)
-    return [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
-
-
-def _ber_point(cfg: ExperimentConfig, pool) -> tuple[BerEstimate, int]:
+def _ber_point(cfg: ExperimentConfig, pool: _Workers) -> tuple[BerEstimate, int]:
     """Accumulate trials in batches until target_errors or the trial cap is hit."""
     errors = 0
     bits = 0
     done = 0
     while done < cfg.trials:
         batch_stop = min(done + BATCH_TRIALS, cfg.trials)
-        if pool is None:
-            e, b = _ber_block(cfg, done, batch_stop)
+        for e, b in pool.map(_ber_block, cfg, done, batch_stop):
             errors += e
             bits += b
-        else:
-            futures = [
-                pool.submit(_ber_block, cfg, lo, hi)
-                for lo, hi in _split(done, batch_stop, cfg.workers)
-            ]
-            for f in futures:
-                e, b = f.result()
-                errors += e
-                bits += b
         done = batch_stop
         if cfg.target_errors and errors >= cfg.target_errors:
             break
     return BerEstimate.from_counts(errors, bits), done
 
 
-def _variance_point(cfg: ExperimentConfig, pool) -> tuple[float, int]:
+def _variance_point(cfg: ExperimentConfig, pool: _Workers) -> tuple[float, int]:
     """Estimate mean ||s_hat - s||^2 per receiver over >= cfg.samples samples."""
     trials = math.ceil(cfg.samples / cfg.m)
-    per_trial = np.empty(trials)
-    if pool is None:
-        per_trial[:] = _variance_block(cfg, 0, trials)
-    else:
-        futures = {
-            pool.submit(_variance_block, cfg, lo, hi): (lo, hi)
-            for lo, hi in _split(0, trials, cfg.workers)
-        }
-        for f, (lo, hi) in futures.items():
-            per_trial[lo:hi] = f.result()
+    per_trial = np.concatenate(pool.map(_variance_block, cfg, 0, trials))
     # single ordered reduction keeps the result identical for any worker count
     return float(np.sum(per_trial) / (trials * cfg.m)), trials * cfg.m
 
@@ -349,26 +326,121 @@ def _blas_threads() -> _BlasThreads | None:
     return None
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: W workers on W cores must not each start a BLAS team."""
-    api = _blas_threads()
-    if api is None:
-        return
-    api.set(1)
-    # In a forked child the call above restarts OpenBLAS's thread team, which
-    # spin-waits for about 0.1 s of CPU before it sleeps. Stop it: at one
-    # thread no BLAS call starts it again.
+def _set_blas_threads(api: _BlasThreads, count: int) -> None:
+    api.set(count)
+    # After a fork the call above restarts OpenBLAS's thread team, which
+    # spin-waits for about 0.1 s of CPU before it sleeps. Stop it: the next
+    # call that needs more than one thread starts it again.
     if api.shutdown is not None:
         api.shutdown()
 
 
-def _pool(cfg: ExperimentConfig):
-    if cfg.workers == 1:
+def _one_blas_thread() -> int | None:
+    """Run this process's OpenBLAS on one thread; return its former count.
+
+    None when the thread count is out of reach (see _blas_threads).
+    """
+    api = _blas_threads()
+    if api is None:
         return None
-    # resolve in the parent: forked workers inherit the cached result, so each
-    # pays one call instead of a maps scan and dlopen; spawned ones resolve anew
-    _blas_threads()
-    return ProcessPoolExecutor(max_workers=cfg.workers, initializer=_one_blas_thread)
+    threads = api.get()
+    if threads != 1:
+        _set_blas_threads(api, 1)
+    return threads
+
+
+def _take(counter, block, cfg: ExperimentConfig, stop: int) -> dict:
+    """Claim trials from the shared counter until it reaches stop; return
+    {trial: block(cfg, trial, trial + 1)} for the trials this process claimed."""
+    done = {}
+    while True:
+        with counter.get_lock():
+            t = counter.value
+            counter.value = t + 1
+        if t >= stop:
+            return done
+        done[t] = block(cfg, t, t + 1)
+
+
+def _serve(conn, counter) -> None:
+    """Worker loop: for each (block, cfg, stop) that arrives on conn, claim
+    trials with _take and send back their results, or the exception that
+    stopped it, until None arrives."""
+    _one_blas_thread()
+    for block, cfg, stop in iter(conn.recv, None):
+        try:
+            reply = _take(counter, block, cfg, stop)
+        except BaseException as exc:  # raised again in the calling process
+            reply = exc
+        conn.send(reply)
+
+
+class _Workers:
+    """Worker processes beside the calling process, for the span of a `with`.
+
+    `map` runs a batch of trials on the calling process and the workers
+    together. Each process claims the next trial from a shared counter when
+    it is free, so a process that runs slower, such as a worker still warming
+    up or one whose core is busy, takes fewer trials instead of holding the
+    others up. Results are keyed by trial index and returned in trial order,
+    so they do not depend on which process ran what. While workers exist, all
+    W processes run OpenBLAS on one thread; the caller gets its own thread
+    count back on exit. With no workers, `map` runs the batch as one block.
+    """
+
+    def __init__(self, count: int):
+        self.count = count
+        self.conns = []
+        self.procs = []
+        self.blas_threads = None
+
+    def __enter__(self) -> "_Workers":
+        if self.count:
+            self.blas_threads = _one_blas_thread()
+            ctx = multiprocessing.get_context()
+            self.counter = ctx.Value("q", 0)
+            try:
+                for _ in range(self.count):
+                    conn, theirs = ctx.Pipe()
+                    self.conns.append(conn)
+                    proc = ctx.Process(target=_serve, args=(theirs, self.counter), daemon=True)
+                    proc.start()
+                    theirs.close()
+                    self.procs.append(proc)
+            except BaseException:
+                self.__exit__()
+                raise
+        return self
+
+    def map(self, block, cfg: ExperimentConfig, start: int, stop: int) -> list:
+        """Results of block over trials start..stop-1, in trial order: one
+        block(cfg, start, stop) here, or one block(cfg, t, t + 1) per trial."""
+        if not self.conns:
+            return [block(cfg, start, stop)]
+        self.counter.value = start
+        for conn in self.conns:
+            conn.send((block, cfg, stop))
+        try:
+            done = _take(self.counter, block, cfg, stop)
+        finally:
+            replies = [conn.recv() for conn in self.conns]  # every pipe drained
+        for reply in replies:
+            if isinstance(reply, BaseException):
+                raise reply
+            done.update(reply)
+        return [done[t] for t in range(start, stop)]
+
+    def __exit__(self, *exc_info) -> None:
+        for conn in self.conns:
+            try:
+                conn.send(None)
+            except OSError:  # the worker is gone already
+                pass
+            conn.close()
+        for proc in self.procs:
+            proc.join()
+        if self.blas_threads not in (None, 1):
+            _set_blas_threads(_blas_threads(), self.blas_threads)
 
 
 def run_environment(workers: int) -> dict:
@@ -401,8 +473,7 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[BerSweepRecord]:
     if not cfg.snr_db_list:
         raise ValueError("snr_db_list must not be empty")
     records = []
-    pool = _pool(cfg)
-    try:
+    with _Workers(cfg.workers - 1) as pool:
         for i, snr_db in enumerate(cfg.snr_db_list):
             seed = derive_point_seed(cfg.master_seed, i)
             point = replace(
@@ -423,9 +494,6 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[BerSweepRecord]:
                     seed=seed,
                 )
             )
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return records
 
 
@@ -435,8 +503,7 @@ def run_phi_sweep(cfg: ExperimentConfig) -> list[PhiSweepRecord]:
     if not usable:
         raise ValueError("phi grid contains no usable (non-singular) offsets")
     records = []
-    pool = _pool(cfg)
-    try:
+    with _Workers(cfg.workers - 1) as pool:
         for i, phi in enumerate(usable):
             seed = derive_point_seed(cfg.master_seed, i)
             point = replace(cfg, phi=phi, master_seed=seed)
@@ -451,9 +518,6 @@ def run_phi_sweep(cfg: ExperimentConfig) -> list[PhiSweepRecord]:
                     seed=seed,
                 )
             )
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return records
 
 
@@ -469,8 +533,7 @@ def run_rsr_sweep(cfg: ExperimentConfig) -> list[RsrSweepRecord]:
     if not cfg.sigma_v_sq_list:
         raise ValueError("sigma_v_sq_list must not be empty")
     records = []
-    pool = _pool(cfg)
-    try:
+    with _Workers(cfg.workers - 1) as pool:
         for sigma_v_sq in cfg.sigma_v_sq_list:
             for rsr_db in cfg.rsr_db_list:
                 point = replace(
@@ -486,7 +549,4 @@ def run_rsr_sweep(cfg: ExperimentConfig) -> list[RsrSweepRecord]:
                         seed=cfg.master_seed,
                     )
                 )
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return records

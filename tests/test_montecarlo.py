@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 from dataclasses import replace
 
@@ -159,22 +160,41 @@ def test_ber_sweep_serial_parallel_identical():
     assert serial == parallel
 
 
-def _worker_threads():
-    """(OpenBLAS threads, OS threads) of the process this runs in."""
-    return montecarlo._blas_threads().get(), len(os.listdir("/proc/self/task"))
+_barrier = None  # set before the workers fork, so each inherits it
+
+
+def _worker_threads(cfg, lo, hi):
+    """(pid, OpenBLAS threads, OS threads) of the process that runs trial lo."""
+    _barrier.wait(timeout=60)  # every process holds one trial: none takes two
+    return os.getpid(), montecarlo._blas_threads().get(), len(os.listdir("/proc/self/task"))
 
 
 def test_pool_workers_use_one_blas_thread():
+    global _barrier
     if montecarlo._blas_threads() is None:
         pytest.skip("this process has no OpenBLAS with a thread-count control")
     np.ones((256, 256)) @ np.ones((256, 256))  # the parent's BLAS team is running
-    pool = montecarlo._pool(replace(ExperimentConfig(), workers=2))
-    try:
-        futures = [pool.submit(_worker_threads) for _ in range(4)]
-        # one BLAS thread, and no idle BLAS team left spinning beside it
-        assert [f.result(timeout=60) for f in futures] == [(1, 1)] * 4
-    finally:
-        pool.shutdown()
+    _barrier = multiprocessing.Barrier(4)
+    with montecarlo._Workers(3) as pool:
+        seen = {pid: (blas, tasks) for pid, blas, tasks in pool.map(_worker_threads, None, 0, 4)}
+    here = seen.pop(os.getpid())
+    # one BLAS thread, and no idle BLAS team left spinning beside it
+    assert list(seen.values()) == [(1, 1)] * 3
+    assert here[0] == 1  # the caller runs its trial on one BLAS thread too
+
+
+def _trial_index(refuse_odd, lo, hi):
+    if refuse_odd and lo % 2:
+        raise ValueError(f"trial {lo}")
+    return lo
+
+
+def test_worker_exception_reaches_caller():
+    with montecarlo._Workers(2) as pool:
+        with pytest.raises(ValueError, match="trial"):
+            pool.map(_trial_index, True, 0, 40)
+        # every reply was drained: a later batch gets its own results, in order
+        assert pool.map(_trial_index, False, 10, 50) == list(range(10, 50))
 
 
 def test_parent_blas_threads_untouched_by_pool():
