@@ -4,9 +4,17 @@ Every random quantity is drawn from an explicitly passed generator.  Streams
 are derived with counter-based Philox keyed on (seed, trial_index, role), so
 trial k's draws are reproducible bit-exactly on any platform and independent
 of execution order or worker count.
+
+A stream's key is numpy's
+`SeedSequence(seed, spawn_key=(0, trial_index, role)).generate_state(2, uint64)`.
+`trial_keys` computes it for a whole block of trials at once, and
+`keyed_rng` restarts one generator per process at a key's stream, which
+costs a few microseconds where a new `Philox` costs about fifteen.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,13 +24,130 @@ STREAM_IDS = {"bits": 0, "channel": 1, "reference": 2, "noise1": 3, "noise2": 4}
 _TRIAL_DOMAIN = 0
 _POINT_DOMAIN = 1
 
+# trial indices must fit the one 32-bit spawn-key word that trial_keys mixes
+MAX_TRIALS = 1 << 32
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_steps(hash_const: int, count: int, mult: int) -> tuple[list[int], list[int]]:
+    """Hash constants before and after each of `count` successive hash steps."""
+    before, after = [], []
+    for _ in range(count):
+        before.append(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        after.append(hash_const)
+    return before, after
+
+
+def _hashmix(value, before, after):
+    """SeedSequence's hashmix on Python ints or uint32 arrays, its constant given."""
+    value = (value ^ before) * after & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x, y):
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+@lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's entropy pool after the seed words and the trial-domain
+    word of the spawn key, and the hash constant it reached."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    # a spawn key follows the seed words, which are padded to the pool size
+    words += [0] * (_POOL_SIZE - len(words)) + [_TRIAL_DOMAIN]
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        before, hash_const = hash_const, hash_const * _MULT_A & _MASK32
+        return _hashmix(value, before, hash_const)
+
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return tuple(pool), hash_const
+
+
+def trial_keys(seed: int, start: int, stop: int, roles) -> np.ndarray:
+    """Philox keys of trials start..stop-1, shape (stop - start, len(roles), 2).
+
+    Entry [i, j] equals
+    `SeedSequence(seed, spawn_key=(0, start + i, STREAM_IDS[roles[j]])).generate_state(2, np.uint64)`
+    bit for bit. The seed's part of the hash is mixed once per seed; the
+    trial and role words are mixed for the whole block at once.
+    """
+    if not 0 <= start <= stop <= MAX_TRIALS:
+        raise ValueError(f"trial range {start}..{stop} is outside 0..{MAX_TRIALS}")
+    pool, hash_const = _seed_pool(seed)
+    before, after = _hash_steps(hash_const, 2 * _POOL_SIZE, _MULT_A)
+
+    def consts(values, ndim):  # along axis 0, the pool axis
+        return np.array(values, dtype=np.uint32).reshape((-1,) + (1,) * (ndim - 1))
+
+    trials = np.arange(start, stop, dtype=np.uint32)
+    ids = np.array([STREAM_IDS[role] for role in roles], dtype=np.uint32)
+    # the trial word, then the role word, mixed into every pool word: (pool, trial, role)
+    n = _POOL_SIZE
+    words = _mix(consts(pool, 2), _hashmix(trials, consts(before[:n], 2), consts(after[:n], 2)))
+    words = _mix(words[:, :, None], _hashmix(ids, consts(before[n:], 2), consts(after[n:], 2))[:, None])
+    # generate_state: one 32-bit word per pool word, read as little-endian pairs
+    out_before, out_after = _hash_steps(_INIT_B, _POOL_SIZE, _MULT_B)
+    out = _hashmix(words, consts(out_before, 3), consts(out_after, 3)).astype(np.uint64)
+    return np.stack((out[0] | out[1] << 32, out[2] | out[3] << 32), axis=-1)
+
+
+_ZEROS = np.zeros(4, dtype=np.uint64)
+_ZEROS.flags.writeable = False
+
+
+@lru_cache(maxsize=1)
+def _keyed_generator() -> np.random.Generator:
+    # made on first use, so importing ramimo does not load numpy.random
+    return np.random.Generator(np.random.Philox(0))
+
+
+def keyed_rng(key: np.ndarray) -> np.random.Generator:
+    """This process's shared generator, restarted at the head of the stream
+    that the Philox `key` (a row of `trial_keys`) names.
+
+    Every call restarts the same generator, so draw from one stream fully
+    before asking for the next.
+    """
+    rng = _keyed_generator()
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,  # empty: the next draw starts a fresh block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
 
 def stream_rng(seed: int, trial_index: int, stream: str) -> np.random.Generator:
     """Independent Philox generator for one (seed, trial, role) triple."""
-    key = np.random.SeedSequence(
-        seed, spawn_key=(_TRIAL_DOMAIN, trial_index, STREAM_IDS[stream])
-    )
-    return np.random.Generator(np.random.Philox(key))
+    key = trial_keys(seed, trial_index, trial_index + 1, (stream,))[0, 0]
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def derive_point_seed(seed: int, point_index: int) -> int:
@@ -36,11 +161,36 @@ def _check_dims(M: int, N: int) -> None:
         raise ValueError(f"dimensions must be positive, got M={M}, N={N}")
 
 
+def draw_bits(count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw `count` fair bits (int64 zeros and ones)."""
+    return rng.integers(0, 2, count)
+
+
+def draw_complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
+    """a + 1j*b with a, then b, drawn i.i.d. standard normal: the unscaled
+    draw behind the channel and the noise."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def draw_phasors(M: int, rng: np.random.Generator) -> np.ndarray:
+    """Length-M unit phasors exp(1j*phase), phase uniform on (-pi, pi]."""
+    return np.exp(1j * (np.pi - rng.uniform(0.0, 2.0 * np.pi, size=M)))
+
+
+def reference_magnitude(N: int, rsr_db: float) -> float:
+    """|r_m| for a reference-to-signal ratio: one user's receiver power is 1/N."""
+    return np.sqrt(10.0 ** (rsr_db / 10.0) / N)
+
+
+def noise_scale(sigma_v_sq: float) -> float:
+    """Factor that turns a `draw_complex_normal` draw into variance sigma_v_sq."""
+    return np.sqrt(0.5 * sigma_v_sq)
+
+
 def draw_channel(M: int, N: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an M x N Rayleigh channel: i.i.d. CN(0, 1/N) entries."""
     _check_dims(M, N)
-    scale = np.sqrt(0.5 / N)
-    return scale * (rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N)))
+    return np.sqrt(0.5 / N) * draw_complex_normal((M, N), rng)
 
 
 def draw_reference(M: int, N: int, rsr_db: float, rng: np.random.Generator) -> np.ndarray:
@@ -51,9 +201,7 @@ def draw_reference(M: int, N: int, rsr_db: float, rng: np.random.Generator) -> n
     phase, uniform on (-pi, pi], consumes randomness.
     """
     _check_dims(M, N)
-    magnitude = np.sqrt(10.0 ** (rsr_db / 10.0) / N)
-    phase = np.pi - rng.uniform(0.0, 2.0 * np.pi, size=M)
-    return magnitude * np.exp(1j * phase)
+    return reference_magnitude(N, rsr_db) * draw_phasors(M, rng)
 
 
 def draw_noise(M: int, sigma_v_sq: float, rng: np.random.Generator) -> np.ndarray:
@@ -62,5 +210,4 @@ def draw_noise(M: int, sigma_v_sq: float, rng: np.random.Generator) -> np.ndarra
         raise ValueError(f"M must be positive, got {M}")
     if sigma_v_sq < 0:
         raise ValueError(f"noise variance must be >= 0, got {sigma_v_sq}")
-    scale = np.sqrt(0.5 * sigma_v_sq)
-    return scale * (rng.standard_normal(M) + 1j * rng.standard_normal(M))
+    return noise_scale(sigma_v_sq) * draw_complex_normal(M, rng)

@@ -175,6 +175,18 @@ def _load_config_layer(path: str, command: str) -> dict:
     return {k.replace("-", "_"): v for k, v in ini.items("DEFAULT")}
 
 
+def _coerce(value, kind: type, where: str):
+    """A config file's value as the type of its key's default. An integer key
+    refuses a fractional, non-finite or boolean number rather than truncate it."""
+    if kind is int and (isinstance(value, bool)
+                        or isinstance(value, float) and not value.is_integer()):
+        raise UsageError(f"{where} = {value!r} is not a valid int")
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{where} = {value!r} is not a valid {kind.__name__}") from exc
+
+
 def _resolve(args: argparse.Namespace, command: str) -> dict:
     """Materialize the full config: flags over config file over defaults."""
     layer = _load_config_layer(args.config, command) if args.config else {}
@@ -187,12 +199,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         if flag is not None:
             resolved[key] = flag
         elif key in layer:
-            try:
-                resolved[key] = type(default)(layer[key])
-            except (TypeError, ValueError) as exc:
-                raise UsageError(
-                    f"{args.config}: {key} = {layer[key]!r} is not a valid {type(default).__name__}"
-                ) from exc
+            resolved[key] = _coerce(layer[key], type(default), f"{args.config}: {key}")
         else:
             resolved[key] = default
     resolved["svg"] = bool(args.svg or str(layer.get("svg", "")).lower() in ("1", "true", "yes"))

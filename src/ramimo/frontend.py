@@ -28,19 +28,30 @@ class DualSlotObservation:
 
 
 def _check_shapes(H: np.ndarray, x: np.ndarray, r: np.ndarray, v: np.ndarray) -> None:
-    M, N = H.shape
-    if x.shape != (N,) or r.shape != (M,) or v.shape != (M,):
-        raise ValueError(
-            f"inconsistent shapes: H {H.shape}, x {x.shape}, r {r.shape}, v {v.shape}"
-        )
+    if H.ndim >= 2:
+        *stack, M, N = H.shape
+        if x.shape == (*stack, N) and r.shape == v.shape == (*stack, M):
+            return
+    raise ValueError(
+        f"inconsistent shapes: H {H.shape}, x {x.shape}, r {r.shape}, v {v.shape}"
+    )
+
+
+def received(H: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Noiseless received signal Hx; a stack of channels (..., M, N) takes a
+    matching stack of symbol vectors (..., N)."""
+    return np.matmul(H, x[..., None])[..., 0]
 
 
 def observe_single(H: np.ndarray, x: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One slot's readout |Hx + v + r|, one nonnegative value per receiver."""
+    """One slot's readout |Hx + v + r|, one nonnegative value per receiver.
+
+    Takes stacks too: H (..., M, N), x (..., N), r and v (..., M).
+    """
     H = np.asarray(H)
     x, r, v = (np.asarray(a) for a in (x, r, v))
     _check_shapes(H, x, r, v)
-    return np.abs(H @ x + v + r)
+    return np.abs(received(H, x) + v + r)
 
 
 def observe_prss(

@@ -5,8 +5,13 @@ Determinism contract: every trial's random streams are derived only from
 per-point results are reduced in trial order, so error and bit counts are
 identical for any worker count, whichever process ran which trial.  Sweep
 points get independent sub-seeds, except the reference-strength sweep, which
-reuses the same draws at every strength so the recovery error can be
+evaluates every strength on the same draws so the recovery error can be
 compared pathwise across points.
+
+Each process derives a batch's stream keys once (`trial_keys`) and draws a
+trial's streams from one restarted generator (`keyed_rng`). Variance trials
+run stacked, a chunk of trials per numpy call; detection trials run one by
+one.
 
 A run with W workers forks W - 1 worker processes, and the calling process
 runs trials beside them. While the workers exist, all W processes run
@@ -27,10 +32,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import derive_point_seed, draw_channel, draw_noise, draw_reference, stream_rng
+from .channel import (
+    MAX_TRIALS, derive_point_seed, draw_bits, draw_channel, draw_complex_normal, draw_noise,
+    draw_phasors, draw_reference, keyed_rng, noise_scale, reference_magnitude, trial_keys,
+)
+from .channel import stream_rng  # noqa: F401  (perfbench's tracer patches this name here)
 from .constellation import demap, make_qam, modulate
 from .detect import DEFAULT_SEARCH_BUDGET, ml_linear, ml_single_shot, zf_linear
-from .frontend import observe_prss, observe_single
+from .frontend import observe_prss, observe_single, received
 from .reconstruct import SIN_PHI_TOL, reconstruct_general, reconstruct_optimal
 
 SCHEMES = ("prss", "single_shot", "rf_baseline")
@@ -42,6 +51,18 @@ PI_HALF = math.pi / 2
 # trials per scheduling batch; the stopping rule is evaluated only at batch
 # boundaries, which keeps counts independent of the worker count
 BATCH_TRIALS = 256
+
+# the streams a scheme's trial reads, in key-table order; streams are keyed
+# by role, so skipping one moves no other
+_ROLES = {
+    "rf_baseline": ("bits", "channel", "noise1"),
+    "single_shot": ("bits", "channel", "noise1", "reference"),
+    "prss": ("bits", "channel", "noise1", "reference", "noise2"),
+}
+
+# receiver rows per stacked variance chunk (4 trials at M = 512): the
+# chunk's arrays stay under about 1 MB, and larger chunks ran no faster
+_VARIANCE_ROWS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -81,12 +102,19 @@ class ExperimentConfig:
             raise ValueError("single_shot only supports the ml detector")
         if self.m < 1 or self.n < 1:
             raise ValueError(f"dimensions must be positive, got m={self.m}, n={self.n}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {self.trials}")
         if self.target_errors < 0:
             raise ValueError("target_errors must be >= 0 (0 disables early stopping)")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if _variance_trials(self) > MAX_TRIALS:
+            raise ValueError(
+                f"samples={self.samples} at m={self.m} takes {_variance_trials(self)} "
+                f"trials, more than {MAX_TRIALS}"
+            )
+        if self.master_seed < 0:
+            raise ValueError(f"master seed must be >= 0, got {self.master_seed}")
         if self.sigma_v_sq < 0:
             raise ValueError(f"sigma_v_sq must be >= 0, got {self.sigma_v_sq}")
         if self.workers < 1:
@@ -100,6 +128,8 @@ class ExperimentConfig:
             bad = [v for v in getattr(self, name) if not math.isfinite(v)]
             if bad:
                 raise ValueError(f"{name} must hold finite numbers, got {bad[0]}")
+        if any(v < 0 for v in self.sigma_v_sq_list):
+            raise ValueError(f"sigma_v_sq_list must hold values >= 0, got {self.sigma_v_sq_list}")
         if self.scheme == "prss" and abs(math.sin(self.phi)) < SIN_PHI_TOL:
             raise ValueError(f"phi={self.phi!r} is a singular offset for prss (sin(phi) = 0)")
         # a BER sweep's ML search must fit the budget; variance sweeps never detect
@@ -189,31 +219,51 @@ def default_phi_grid(step: float = math.pi / 36) -> tuple[float, ...]:
     return split_singular((np.arange(-count + 1, count + 1) * step).tolist())[0]
 
 
-def _draw_trial(cfg: ExperimentConfig, trial_index: int, scheme: str):
+def _variance_trials(cfg: ExperimentConfig) -> int:
+    """Trials a variance point runs: enough for cfg.samples receiver samples."""
+    return math.ceil(cfg.samples / cfg.m)
+
+
+@lru_cache(maxsize=1)
+def _batch_keys(seed: int, start: int, stop: int, roles: tuple[str, ...]) -> np.ndarray:
+    """Key table of one scheduling batch. A process derives it on the first
+    chunk it claims from the batch and reads every later chunk from it."""
+    keys = trial_keys(seed, start, stop, roles)
+    keys.flags.writeable = False  # shared by every chunk that reads it
+    return keys
+
+
+def _draw_trial(cfg: ExperimentConfig, trial_index: int, scheme: str, keys=None):
     """Trial draws (bits, x, H, r, v1, v2) for `scheme`.
 
-    Only the streams the scheme reads are derived: rf_baseline has no
-    reference (r is None) and only prss has a second slot's noise (else v2
-    is None).  Streams are keyed by role, so skipping one moves no other.
+    keys is the trial's row of a key table over the scheme's roles (_ROLES);
+    it is derived here when None. Only the streams the scheme reads are
+    derived: rf_baseline has no reference (r is None) and only prss has a
+    second slot's noise (else v2 is None).
     """
+    if keys is None:
+        keys = trial_keys(cfg.master_seed, trial_index, trial_index + 1, _ROLES[scheme])[0]
+    key = dict(zip(_ROLES[scheme], keys))
     c = _alphabet(cfg.order)
-    seed = cfg.master_seed
-    bits = stream_rng(seed, trial_index, "bits").integers(0, 2, cfg.n * c.bits_per_symbol)
+    bits = draw_bits(cfg.n * c.bits_per_symbol, keyed_rng(key["bits"]))
     x = modulate(bits, c)
-    H = draw_channel(cfg.m, cfg.n, stream_rng(seed, trial_index, "channel"))
-    v1 = draw_noise(cfg.m, cfg.sigma_v_sq, stream_rng(seed, trial_index, "noise1"))
+    H = draw_channel(cfg.m, cfg.n, keyed_rng(key["channel"]))
+    v1 = draw_noise(cfg.m, cfg.sigma_v_sq, keyed_rng(key["noise1"]))
     r = v2 = None
     if scheme != "rf_baseline":
-        r = draw_reference(cfg.m, cfg.n, cfg.rsr_db, stream_rng(seed, trial_index, "reference"))
+        r = draw_reference(cfg.m, cfg.n, cfg.rsr_db, keyed_rng(key["reference"]))
     if scheme == "prss":
-        v2 = draw_noise(cfg.m, cfg.sigma_v_sq, stream_rng(seed, trial_index, "noise2"))
+        v2 = draw_noise(cfg.m, cfg.sigma_v_sq, keyed_rng(key["noise2"]))
     return bits, x, H, r, v1, v2
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[int, int]:
-    """One detection trial on fresh draws; returns (bit_errors, bits)."""
+def run_trial(cfg: ExperimentConfig, trial_index: int, keys=None) -> tuple[int, int]:
+    """One detection trial on fresh draws; returns (bit_errors, bits).
+
+    keys: the trial's row of its batch's key table, derived here when None.
+    """
     c = _alphabet(cfg.order)
-    bits, x, H, r, v1, v2 = _draw_trial(cfg, trial_index, cfg.scheme)
+    bits, x, H, r, v1, v2 = _draw_trial(cfg, trial_index, cfg.scheme, keys)
     if cfg.scheme == "single_shot":
         det = ml_single_shot(observe_single(H, x, r, v1), H, r, c)
     else:
@@ -229,29 +279,89 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[int, int]:
     return int(np.count_nonzero(demap(det.x_hat, c) != bits)), bits.size
 
 
+class _VarianceDraws(NamedTuple):
+    """The scale-free draws of a chunk of prss trials, stacked on axis 0.
+
+    The reference strength and the noise variance only scale e and w1/w2,
+    so one chunk of draws serves every point of a reference-strength sweep.
+    """
+
+    x: np.ndarray  # (B, N) symbols
+    H: np.ndarray  # (B, M, N) channels
+    s: np.ndarray  # (B, M) noiseless received signal Hx: the ground truth
+    e: np.ndarray  # (B, M) reference phasors
+    w1: np.ndarray  # (B, M) unscaled noise of slot 1
+    w2: np.ndarray  # (B, M) and of slot 2
+
+
+def _variance_draws(cfg: ExperimentConfig, keys: np.ndarray) -> _VarianceDraws:
+    """Draws of the trials whose key-table rows (roles _ROLES["prss"]) are keys."""
+    c = _alphabet(cfg.order)
+
+    def each(role, draw, *args):  # one draw per trial, each from its own stream
+        column = keys[:, _ROLES["prss"].index(role)]
+        return np.stack([draw(*args, keyed_rng(k)) for k in column])
+
+    bits = each("bits", draw_bits, cfg.n * c.bits_per_symbol)
+    x = modulate(bits.ravel(), c).reshape(-1, cfg.n)
+    H = each("channel", draw_channel, cfg.m, cfg.n)
+    return _VarianceDraws(
+        x=x, H=H, s=received(H, x),
+        e=each("reference", draw_phasors, cfg.m),
+        w1=each("noise1", draw_complex_normal, cfg.m),
+        w2=each("noise2", draw_complex_normal, cfg.m),
+    )
+
+
+def _recover(draws: _VarianceDraws, n: int, rsr_db: float, sigma_v_sq: float, phi: float):
+    """Stacked s_hat of a chunk's trials at one reference strength, noise
+    variance and offset; bit for bit what each trial gives on its own."""
+    r = reference_magnitude(n, rsr_db) * draws.e
+    scale = noise_scale(sigma_v_sq)
+    obs = observe_prss(draws.H, draws.x, r, scale * draws.w1, scale * draws.w2, phi)
+    return reconstruct_general(obs, r, phi).s_hat
+
+
 def run_variance_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
     """One reconstruction trial: returns (s_hat, s) with s = Hx kept as ground truth."""
-    _, x, H, r, v1, v2 = _draw_trial(cfg, trial_index, "prss")
-    obs = observe_prss(H, x, r, v1, v2, cfg.phi)
-    return reconstruct_general(obs, r, cfg.phi).s_hat, H @ x
+    keys = trial_keys(cfg.master_seed, trial_index, trial_index + 1, _ROLES["prss"])
+    draws = _variance_draws(cfg, keys)
+    return _recover(draws, cfg.n, cfg.rsr_db, cfg.sigma_v_sq, cfg.phi)[0], draws.s[0]
 
 
-def _ber_block(cfg: ExperimentConfig, start: int, stop: int) -> tuple[int, int]:
+def _ber_block(cfg: ExperimentConfig, start: int, stop: int, lo: int, hi: int) -> tuple[int, int]:
+    """(bit errors, bits) of trials lo..hi-1 of the batch start..stop-1."""
+    keys = _batch_keys(cfg.master_seed, start, stop, _ROLES[cfg.scheme])
     errors = 0
     bits = 0
-    for t in range(start, stop):
-        e, b = run_trial(cfg, t)
+    for t in range(lo, hi):
+        e, b = run_trial(cfg, t, keys[t - start])
         errors += e
         bits += b
     return errors, bits
 
 
-def _variance_block(cfg: ExperimentConfig, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i, t in enumerate(range(start, stop)):
-        s_hat, s = run_variance_trial(cfg, t)
-        out[i] = np.sum(np.abs(s_hat - s) ** 2)
-    return out
+def _variance_block(job, start: int, stop: int, lo: int, hi: int) -> np.ndarray:
+    """||s_hat - s||^2 of trials lo..hi-1 at each point: shape (points, hi - lo).
+
+    job is (cfg, points), each point an (rsr_db, sigma_v_sq, phi) triple.
+    Trials run in stacked chunks of at most _VARIANCE_ROWS receiver rows.
+    """
+    cfg, points = job
+    keys = _batch_keys(cfg.master_seed, start, stop, _ROLES["prss"])
+    step = max(1, _VARIANCE_ROWS // cfg.m)
+    chunks = [keys[a - start:min(a + step, hi) - start] for a in range(lo, hi, step)]
+    return np.concatenate([_variance_chunk(cfg, k, points) for k in chunks], axis=1)
+
+
+def _variance_chunk(cfg: ExperimentConfig, keys: np.ndarray, points) -> np.ndarray:
+    """||s_hat - s||^2 at each point of the trials whose key rows are keys,
+    drawn once for all the points: shape (points, trials)."""
+    draws = _variance_draws(cfg, keys)
+    return np.array([
+        np.sum(np.abs(_recover(draws, cfg.n, *point) - draws.s) ** 2, axis=-1)
+        for point in points
+    ])
 
 
 def _ber_point(cfg: ExperimentConfig, pool: _Workers) -> tuple[BerEstimate, int]:
@@ -270,12 +380,13 @@ def _ber_point(cfg: ExperimentConfig, pool: _Workers) -> tuple[BerEstimate, int]
     return BerEstimate.from_counts(errors, bits), done
 
 
-def _variance_point(cfg: ExperimentConfig, pool: _Workers) -> tuple[float, int]:
-    """Estimate mean ||s_hat - s||^2 per receiver over >= cfg.samples samples."""
-    trials = math.ceil(cfg.samples / cfg.m)
-    per_trial = np.concatenate(pool.map(_variance_block, cfg, 0, trials))
-    # single ordered reduction keeps the result identical for any worker count
-    return float(np.sum(per_trial) / (trials * cfg.m)), trials * cfg.m
+def _variance_points(cfg: ExperimentConfig, points, pool: _Workers) -> list[tuple[float, int]]:
+    """Mean ||s_hat - s||^2 per receiver at each (rsr_db, sigma_v_sq, phi)
+    point, all on the same >= cfg.samples receiver samples; and that count."""
+    trials = _variance_trials(cfg)
+    per_trial = np.concatenate(pool.map(_variance_block, (cfg, points), 0, trials), axis=1)
+    # one ordered reduction per point keeps the result identical for any worker count
+    return [(float(np.sum(row) / (trials * cfg.m)), trials * cfg.m) for row in per_trial]
 
 
 class _BlasThreads(NamedTuple):
@@ -349,27 +460,34 @@ def _one_blas_thread() -> int | None:
     return threads
 
 
-def _take(counter, block, cfg: ExperimentConfig, stop: int) -> dict:
-    """Claim trials from the shared counter until it reaches stop; return
-    {trial: block(cfg, trial, trial + 1)} for the trials this process claimed."""
+def _take(counter, block, arg, start: int, stop: int, width: int) -> dict:
+    """Claim chunks of the batch start..stop-1 from the shared counter until
+    it reaches stop; return {lo: block(arg, start, stop, lo, hi)} for the
+    chunks lo..hi-1 this process claimed.
+
+    Chunks are guided: each takes 1/(2 * width) of the trials still
+    unclaimed, at least one, so the chunks shrink as the batch drains and
+    the processes finish close together.
+    """
     done = {}
     while True:
         with counter.get_lock():
-            t = counter.value
-            counter.value = t + 1
-        if t >= stop:
+            lo = counter.value
+            hi = min(stop, lo + max(1, (stop - lo) // (2 * width)))
+            counter.value = hi
+        if lo >= stop:
             return done
-        done[t] = block(cfg, t, t + 1)
+        done[lo] = block(arg, start, stop, lo, hi)
 
 
-def _serve(conn, counter) -> None:
-    """Worker loop: for each (block, cfg, stop) that arrives on conn, claim
-    trials with _take and send back their results, or the exception that
-    stopped it, until None arrives."""
+def _serve(conn, counter, width: int) -> None:
+    """Worker loop: for each (block, arg, start, stop) that arrives on conn,
+    claim chunks with _take and send back their results, or the exception
+    that stopped it, until None arrives."""
     _one_blas_thread()
-    for block, cfg, stop in iter(conn.recv, None):
+    for block, arg, start, stop in iter(conn.recv, None):
         try:
-            reply = _take(counter, block, cfg, stop)
+            reply = _take(counter, block, arg, start, stop, width)
         except BaseException as exc:  # raised again in the calling process
             reply = exc
         conn.send(reply)
@@ -379,13 +497,14 @@ class _Workers:
     """Worker processes beside the calling process, for the span of a `with`.
 
     `map` runs a batch of trials on the calling process and the workers
-    together. Each process claims the next trial from a shared counter when
-    it is free, so a process that runs slower, such as a worker still warming
-    up or one whose core is busy, takes fewer trials instead of holding the
-    others up. Results are keyed by trial index and returned in trial order,
-    so they do not depend on which process ran what. While workers exist, all
-    W processes run OpenBLAS on one thread; the caller gets its own thread
-    count back on exit. With no workers, `map` runs the batch as one block.
+    together. Each process claims the next chunk of trials from a shared
+    counter when it is free, so a process that runs slower, such as a worker
+    still warming up or one whose core is busy, takes fewer trials instead of
+    holding the others up. Results are keyed by the chunk's first trial and
+    returned in trial order, so they do not depend on which process ran
+    what. While workers exist, all W processes run OpenBLAS on one thread;
+    the caller gets its own thread count back on exit. With no workers,
+    `map` runs the batch as one chunk.
     """
 
     def __init__(self, count: int):
@@ -399,11 +518,14 @@ class _Workers:
             self.blas_threads = _one_blas_thread()
             ctx = multiprocessing.get_context()
             self.counter = ctx.Value("q", 0)
+            width = self.count + 1
             try:
                 for _ in range(self.count):
                     conn, theirs = ctx.Pipe()
                     self.conns.append(conn)
-                    proc = ctx.Process(target=_serve, args=(theirs, self.counter), daemon=True)
+                    proc = ctx.Process(
+                        target=_serve, args=(theirs, self.counter, width), daemon=True
+                    )
                     proc.start()
                     theirs.close()
                     self.procs.append(proc)
@@ -412,23 +534,24 @@ class _Workers:
                 raise
         return self
 
-    def map(self, block, cfg: ExperimentConfig, start: int, stop: int) -> list:
-        """Results of block over trials start..stop-1, in trial order: one
-        block(cfg, start, stop) here, or one block(cfg, t, t + 1) per trial."""
+    def map(self, block, arg, start: int, stop: int) -> list:
+        """block(arg, start, stop, lo, hi) over chunks lo..hi-1 that cover the
+        batch start..stop-1, in trial order: the whole batch as one chunk
+        here, or the chunks that the processes claimed."""
         if not self.conns:
-            return [block(cfg, start, stop)]
+            return [block(arg, start, stop, start, stop)]
         self.counter.value = start
         for conn in self.conns:
-            conn.send((block, cfg, stop))
+            conn.send((block, arg, start, stop))
         try:
-            done = _take(self.counter, block, cfg, stop)
+            done = _take(self.counter, block, arg, start, stop, self.count + 1)
         finally:
             replies = [conn.recv() for conn in self.conns]  # every pipe drained
         for reply in replies:
             if isinstance(reply, BaseException):
                 raise reply
             done.update(reply)
-        return [done[t] for t in range(start, stop)]
+        return [done[lo] for lo in sorted(done)]
 
     def __exit__(self, *exc_info) -> None:
         for conn in self.conns:
@@ -506,8 +629,9 @@ def run_phi_sweep(cfg: ExperimentConfig) -> list[PhiSweepRecord]:
     with _Workers(cfg.workers - 1) as pool:
         for i, phi in enumerate(usable):
             seed = derive_point_seed(cfg.master_seed, i)
-            point = replace(cfg, phi=phi, master_seed=seed)
-            sigma_ve_sq, samples = _variance_point(point, pool)
+            [(sigma_ve_sq, samples)] = _variance_points(
+                replace(cfg, master_seed=seed), [(cfg.rsr_db, cfg.sigma_v_sq, phi)], pool
+            )
             records.append(
                 PhiSweepRecord(
                     phi=phi,
@@ -524,29 +648,26 @@ def run_phi_sweep(cfg: ExperimentConfig) -> list[PhiSweepRecord]:
 def run_rsr_sweep(cfg: ExperimentConfig) -> list[RsrSweepRecord]:
     """Reconstruction error vs reference strength at a quarter-turn offset.
 
-    All points reuse the same draws (only the reference magnitude changes),
-    so the Taylor-residual decay with reference strength shows up pathwise
-    rather than being buried in sampling noise.
+    Every point is evaluated on the same draws (only the reference magnitude
+    and the noise scale change), so the Taylor-residual decay with reference
+    strength shows up pathwise rather than being buried in sampling noise.
+    Each trial is drawn once for all the points.
     """
     if not cfg.rsr_db_list:
         raise ValueError("rsr_db_list must not be empty")
     if not cfg.sigma_v_sq_list:
         raise ValueError("sigma_v_sq_list must not be empty")
-    records = []
+    grid = [(rsr_db, sigma_v_sq) for sigma_v_sq in cfg.sigma_v_sq_list
+            for rsr_db in cfg.rsr_db_list]
     with _Workers(cfg.workers - 1) as pool:
-        for sigma_v_sq in cfg.sigma_v_sq_list:
-            for rsr_db in cfg.rsr_db_list:
-                point = replace(
-                    cfg, rsr_db=rsr_db, sigma_v_sq=sigma_v_sq, phi=PI_HALF
-                )
-                sigma_ve_sq, samples = _variance_point(point, pool)
-                records.append(
-                    RsrSweepRecord(
-                        rsr_db=rsr_db,
-                        sigma_v_sq=sigma_v_sq,
-                        sigma_ve_sq=sigma_ve_sq,
-                        samples=samples,
-                        seed=cfg.master_seed,
-                    )
-                )
-    return records
+        results = _variance_points(cfg, [(r, sv, PI_HALF) for r, sv in grid], pool)
+    return [
+        RsrSweepRecord(
+            rsr_db=rsr_db,
+            sigma_v_sq=sigma_v_sq,
+            sigma_ve_sq=sigma_ve_sq,
+            samples=samples,
+            seed=cfg.master_seed,
+        )
+        for (rsr_db, sigma_v_sq), (sigma_ve_sq, samples) in zip(grid, results)
+    ]

@@ -102,14 +102,15 @@ def reconstruct_general(
 
     Solves the per-receiver 2x2 system a_m @ [Re s_m, Im s_m] = [y1_m, y2_m];
     conditioning degrades as 1/sin^2(phi), so offsets with |sin phi| below
-    SIN_PHI_TOL are rejected outright.
+    SIN_PHI_TOL are rejected outright. A stack of trials, readouts and r of
+    shape (..., M), is one solve over all of its systems.
     """
     if abs(np.sin(phi)) < SIN_PHI_TOL:
         raise SingularOffsetError(f"phi={phi} gives a singular measurement matrix")
     u = _normalizers(r)
     rhs = np.stack(effective_observations(z, r), axis=-1)
     sol = np.linalg.solve(build_measurement_matrix(u, phi), rhs[..., None])[..., 0]
-    return ReconstructedSignal(s_hat=sol[:, 0] + 1j * sol[:, 1], u=u)
+    return ReconstructedSignal(s_hat=sol[..., 0] + 1j * sol[..., 1], u=u)
 
 
 def predicted_trace(phi: float, u_mod: float = 1.0) -> float:

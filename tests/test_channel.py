@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramimo import (
     derive_point_seed,
@@ -8,6 +10,19 @@ from ramimo import (
     draw_reference,
     stream_rng,
 )
+from ramimo.channel import MAX_TRIALS, STREAM_IDS, keyed_rng, trial_keys
+
+
+def _seed_sequence_key(seed, trial, role):
+    """The definition trial_keys reproduces."""
+    return np.random.SeedSequence(seed, spawn_key=(0, trial, STREAM_IDS[role])).generate_state(
+        2, np.uint64
+    )
+
+
+def _seed_sequence_rng(seed, trial, role):
+    ss = np.random.SeedSequence(seed, spawn_key=(0, trial, STREAM_IDS[role]))
+    return np.random.Generator(np.random.Philox(ss))
 
 
 def test_channel_unit_variance_moments():
@@ -91,3 +106,54 @@ def test_point_seed_derivation_stable():
     assert derive_point_seed(123, 0) == 13137382374699748859
     assert derive_point_seed(123, 1) == 6456723570319491852
     assert derive_point_seed(123, 0) != derive_point_seed(124, 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**130),
+    trial=st.integers(0, MAX_TRIALS - 1),
+    roles=st.permutations(sorted(STREAM_IDS)),
+)
+def test_trial_keys_match_seed_sequence(seed, trial, roles):
+    keys = trial_keys(seed, trial, trial + 1, roles)
+    assert keys.shape == (1, 5, 2) and keys.dtype == np.uint64
+    for j, role in enumerate(roles):
+        assert np.array_equal(keys[0, j], _seed_sequence_key(seed, trial, role)), role
+
+
+@pytest.mark.parametrize("seed", [0, 104, 20260808, 2**63 + 12345, 2**128 - 1, 2**128, 2**130])
+def test_trial_key_blocks_match_seed_sequence(seed):
+    roles = ("noise2", "bits", "channel")
+    for start, stop in ((0, 40), (77, 78), (MAX_TRIALS - 5, MAX_TRIALS)):
+        keys = trial_keys(seed, start, stop, roles)
+        assert keys.shape == (stop - start, 3, 2)
+        for i, t in enumerate(range(start, stop)):
+            for j, role in enumerate(roles):
+                assert np.array_equal(keys[i, j], _seed_sequence_key(seed, t, role))
+    assert trial_keys(seed, 5, 5, roles).shape == (0, 3, 2)
+
+
+@pytest.mark.parametrize("seed,start,stop", [
+    (-1, 0, 1),  # SeedSequence refuses a negative seed; the word split must not loop on it
+    (-(2**70), 0, 1),
+    (1, -1, 1),
+    (1, 3, 2),
+    (1, 0, MAX_TRIALS + 1),  # index 2^32 would take a second spawn-key word
+])
+def test_trial_keys_refuse_bad_ranges(seed, start, stop):
+    with pytest.raises(ValueError):
+        trial_keys(seed, start, stop, ("bits",))
+
+
+def test_keyed_rng_restarts_streams_exactly():
+    keys = trial_keys(2**70 + 3, 9, 12, sorted(STREAM_IDS))
+    for i, t in enumerate(range(9, 12)):
+        for j, role in enumerate(sorted(STREAM_IDS)):
+            # leave the shared generator mid-stream, with a buffered 32-bit half
+            keyed_rng(keys[i, j - 1]).integers(0, 2, 3)
+            keyed_rng(keys[i, j - 1]).uniform(size=5)
+            for draw in (lambda g: g.standard_normal(1000), lambda g: g.integers(0, 2, 1000),
+                         lambda g: g.uniform(0.0, 2.0, 1000)):
+                expected = draw(_seed_sequence_rng(2**70 + 3, t, role))
+                assert np.array_equal(draw(stream_rng(2**70 + 3, t, role)), expected)
+                assert np.array_equal(draw(keyed_rng(keys[i, j])), expected)

@@ -135,6 +135,9 @@ BAD_CONFIGS = {
     "no_section.ini": ("m = 4\n", "INI"),
     "truncated.json": ('{"config": ', "JSON"),
     "list.json": ("[1]", "JSON"),
+    # an integer key refuses a fraction instead of truncating it
+    "fraction_m.json": (json.dumps({"command": "rsr-sweep", "config": {"m": 4.7}}), "m = 4.7"),
+    "bool_samples.json": (json.dumps({"config": {"samples": True}}), "samples = True"),
 }
 
 
@@ -163,6 +166,14 @@ BAD_CONFIGS = {
     ["ber", "--config", "no_section.ini"],
     ["ber", "--config", "truncated.json"],
     ["ber", "--config", "list.json"],
+    ["rsr-sweep", "--config", "fraction_m.json"],
+    ["phi-sweep", "--config", "bool_samples.json"],
+    ["ber", "--snr-db-list", "4", "--seed", "-3"],
+    ["rsr-sweep", "--seed", "-1"],
+    ["phi-sweep", "--seed", "-2"],
+    ["ber", "--snr-db-list", "4", "--trials", str(2**32 + 1)],
+    ["phi-sweep", "--m", "1", "--samples", str(2**32 + 1)],
+    ["rsr-sweep", "--sigma-v-sq-list", "0.1,-0.1"],
 ])
 def test_bad_input_refused_before_any_trial(tmp_path, argv, capsys):
     for name, (text, _) in BAD_CONFIGS.items():
@@ -197,3 +208,18 @@ def test_config_file_precedence(tmp_path):
     assert main(["ber", "--config", str(ini), "--trials", "100", "--out", str(out3)]) == 0
     rows = (out3 / "ber.csv").read_text().splitlines()
     assert rows[1].split(",")[8] == "400"  # 100 trials * 2 users * 2 bits
+
+
+@pytest.mark.parametrize("argv,csv_name", [
+    (["phi-sweep", "--m", "24", "--n", "2", "--samples", "960",
+      "--phi-grid", "1.5707963267948966,-0.7853981633974483,0.9"], "phi_sweep.csv"),
+    (["rsr-sweep", "--m", "24", "--n", "3", "--samples", "960",
+      "--rsr-db-list", "10,25,40", "--sigma-v-sq-list", "0.1,0.001"], "rsr_sweep.csv"),
+])
+def test_variance_csvs_identical_at_any_worker_count(tmp_path, argv, csv_name):
+    csvs = []
+    for threads in (1, 2, 3):
+        out = tmp_path / str(threads)
+        assert main(argv + ["--threads", str(threads), "--out", str(out)]) == 0
+        csvs.append((out / csv_name).read_bytes())
+    assert csvs[1] == csvs[0] and csvs[2] == csvs[0]

@@ -104,3 +104,23 @@ def test_nonnegative_outputs():
         v2 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         obs = observe_prss(H, x, r, v1, v2, rng.uniform(-np.pi, np.pi))
         assert np.all(obs.z1 >= 0) and np.all(obs.z2 >= 0)
+
+
+def test_stacked_readouts_equal_each_trial():
+    rng = np.random.default_rng(2)
+    B, M, N = 3, 5, 3
+    H = rng.standard_normal((B, M, N)) + 1j * rng.standard_normal((B, M, N))
+    x = rng.standard_normal((B, N)) + 1j * rng.standard_normal((B, N))
+    r = rng.standard_normal((B, M)) + 1j * rng.standard_normal((B, M))
+    v1, v2 = (rng.standard_normal((B, M)) + 1j * rng.standard_normal((B, M)) for _ in range(2))
+    obs = observe_prss(H, x, r, v1, v2, 0.9)
+    for b in range(B):
+        one = observe_prss(H[b], x[b], r[b], v1[b], v2[b], 0.9)
+        assert obs.z1[b].tobytes() == one.z1.tobytes()
+        assert obs.z2[b].tobytes() == one.z2.tobytes()
+    with pytest.raises(ValueError):
+        observe_single(H, x[:2], r, v1)
+    with pytest.raises(ValueError):
+        observe_single(H, x, r[0], v1)
+    with pytest.raises(ValueError):
+        observe_single(H[0, 0], x[0], r[0], v1[0])

@@ -6,9 +6,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ramimo import ExperimentConfig, make_qam, run_ber_sweep, run_phi_sweep, run_rsr_sweep
+from ramimo import (
+    ExperimentConfig,
+    draw_channel,
+    draw_noise,
+    draw_reference,
+    make_qam,
+    modulate,
+    observe_prss,
+    reconstruct_general,
+    run_ber_sweep,
+    run_phi_sweep,
+    run_rsr_sweep,
+    stream_rng,
+)
 from ramimo import montecarlo
-from ramimo.channel import STREAM_IDS
+from ramimo.channel import MAX_TRIALS, STREAM_IDS
 from ramimo.montecarlo import (
     BATCH_TRIALS,
     BerEstimate,
@@ -51,6 +64,12 @@ def test_config_validation():
     {"rsr_db_list": (math.inf,)},
     {"sigma_v_sq_list": (0.1, math.nan)},
     {"n": 8, "snr_db_list": (10.0,)},  # 16^8 ML candidates exceed the search budget
+    {"sigma_v_sq_list": (0.1, -0.01)},
+    {"master_seed": -1},
+    # trial indices of 2^32 and above would take a second spawn-key word
+    {"trials": MAX_TRIALS + 1},
+    {"m": 1, "samples": MAX_TRIALS + 1},
+    {"m": 512, "samples": 512 * MAX_TRIALS + 1},
 ])
 def test_config_refuses_bad_numbers(kwargs):
     with pytest.raises(ValueError):
@@ -66,6 +85,10 @@ def test_config_accepts_valid_orders_and_unused_phi():
     ExperimentConfig(n=8)
     ExperimentConfig(n=8, detector="zf", snr_db_list=(10.0,))
     ExperimentConfig(n=4, qam_order=64, snr_db_list=(10.0,))
+    # the largest trial index, 2^32 - 1, still fits one spawn-key word
+    ExperimentConfig(trials=MAX_TRIALS)
+    ExperimentConfig(m=512, samples=512 * MAX_TRIALS)
+    ExperimentConfig(master_seed=0)
 
 
 def test_scheme_default_orders():
@@ -94,13 +117,13 @@ def test_trial_determinism():
 
 def test_trials_derive_only_the_streams_they_use(monkeypatch):
     derived = []
-    real = montecarlo.stream_rng
+    real = montecarlo.trial_keys
 
-    def spy(seed, trial_index, stream):
-        derived.append(stream)
-        return real(seed, trial_index, stream)
+    def spy(seed, start, stop, roles):
+        derived.append(tuple(roles))
+        return real(seed, start, stop, roles)
 
-    monkeypatch.setattr(montecarlo, "stream_rng", spy)
+    monkeypatch.setattr(montecarlo, "trial_keys", spy)
     one_slot = ["bits", "channel", "noise1"]
     expected = {
         "rf_baseline": one_slot,
@@ -110,10 +133,52 @@ def test_trials_derive_only_the_streams_they_use(monkeypatch):
     for scheme, streams in expected.items():
         derived.clear()
         run_trial(ExperimentConfig(m=4, n=2, scheme=scheme), 3)
-        assert sorted(derived) == sorted(streams), scheme
+        assert [sorted(roles) for roles in derived] == [sorted(streams)], scheme
+        # a BER batch derives the same roles, once for the whole batch
+        derived.clear()
+        montecarlo._batch_keys.cache_clear()
+        montecarlo._ber_block(ExperimentConfig(m=4, n=2, scheme=scheme), 0, 5, 0, 5)
+        assert [sorted(roles) for roles in derived] == [sorted(streams)], scheme
     derived.clear()
     run_variance_trial(ExperimentConfig(m=4, n=2), 3)
-    assert sorted(derived) == sorted(STREAM_IDS)
+    assert [sorted(roles) for roles in derived] == [sorted(STREAM_IDS)]
+
+
+def _oracle_variance(cfg, t):
+    """||s_hat - s||^2 of trial t, drawn and recovered one trial at a time."""
+    c = make_qam(cfg.order)
+    seed = cfg.master_seed
+    bits = stream_rng(seed, t, "bits").integers(0, 2, cfg.n * c.bits_per_symbol)
+    x = modulate(bits, c)
+    H = draw_channel(cfg.m, cfg.n, stream_rng(seed, t, "channel"))
+    r = draw_reference(cfg.m, cfg.n, cfg.rsr_db, stream_rng(seed, t, "reference"))
+    v1 = draw_noise(cfg.m, cfg.sigma_v_sq, stream_rng(seed, t, "noise1"))
+    v2 = draw_noise(cfg.m, cfg.sigma_v_sq, stream_rng(seed, t, "noise2"))
+    s_hat = reconstruct_general(observe_prss(H, x, r, v1, v2, cfg.phi), r, cfg.phi).s_hat
+    return np.sum(np.abs(s_hat - H @ x) ** 2)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 16])
+@pytest.mark.parametrize("phi", [PI / 2, -PI / 4, 0.9])
+@pytest.mark.parametrize("m,n", [(512, 2), (8, 4), (5, 3)])
+def test_batched_variance_matches_per_trial_oracle(monkeypatch, m, n, phi, chunk):
+    monkeypatch.setattr(montecarlo, "_VARIANCE_ROWS", chunk * m)
+    cfg = ExperimentConfig(m=m, n=n, rsr_db=25.0, sigma_v_sq=0.05, phi=phi, master_seed=31)
+    points = [(cfg.rsr_db, cfg.sigma_v_sq, phi)]
+    # trials 8..24 of the batch 5..24: chunks end mid-batch and mid-chunk
+    got = montecarlo._variance_block((cfg, points), 5, 25, 8, 25)
+    assert got.shape == (1, 17)
+    want = [_oracle_variance(cfg, t) for t in range(8, 25)]
+    assert got[0].tobytes() == np.array(want).tobytes()
+
+
+def test_batched_variance_points_share_draws():
+    cfg = ExperimentConfig(m=16, n=2, master_seed=32)
+    points = [(rsr, sv, PI / 2) for sv in (0.1, 0.0) for rsr in (15.0, 40.0)]
+    got = montecarlo._variance_block((cfg, points), 0, 7, 0, 7)
+    for p, (rsr, sv, phi) in enumerate(points):
+        point = replace(cfg, rsr_db=rsr, sigma_v_sq=sv, phi=phi)
+        assert got[p].tobytes() == np.array([_oracle_variance(point, t) for t in range(7)]).tobytes()
 
 
 def test_variance_trial_returns_ground_truth_pair():
@@ -163,7 +228,7 @@ def test_ber_sweep_serial_parallel_identical():
 _barrier = None  # set before the workers fork, so each inherits it
 
 
-def _worker_threads(cfg, lo, hi):
+def _worker_threads(cfg, start, stop, lo, hi):
     """(pid, OpenBLAS threads, OS threads) of the process that runs trial lo."""
     _barrier.wait(timeout=60)  # every process holds one trial: none takes two
     return os.getpid(), montecarlo._blas_threads().get(), len(os.listdir("/proc/self/task"))
@@ -183,18 +248,21 @@ def test_pool_workers_use_one_blas_thread():
     assert here[0] == 1  # the caller runs its trial on one BLAS thread too
 
 
-def _trial_index(refuse_odd, lo, hi):
+def _trial_indices(refuse_odd, start, stop, lo, hi):
     if refuse_odd and lo % 2:
         raise ValueError(f"trial {lo}")
-    return lo
+    return list(range(lo, hi))
 
 
 def test_worker_exception_reaches_caller():
     with montecarlo._Workers(2) as pool:
         with pytest.raises(ValueError, match="trial"):
-            pool.map(_trial_index, True, 0, 40)
+            pool.map(_trial_indices, True, 0, 40)
         # every reply was drained: a later batch gets its own results, in order
-        assert pool.map(_trial_index, False, 10, 50) == list(range(10, 50))
+        chunks = pool.map(_trial_indices, False, 10, 50)
+        assert [t for chunk in chunks for t in chunk] == list(range(10, 50))
+        # guided chunks: a sixth of what is left (three processes), at least one
+        assert len(chunks[0]) == 40 // 6 and len(chunks[-1]) == 1
 
 
 def test_parent_blas_threads_untouched_by_pool():
