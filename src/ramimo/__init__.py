@@ -4,7 +4,7 @@ the complex received signal and conventional ML/ZF detection on top."""
 
 __version__ = "0.1.0"
 
-from .constellation import Constellation, make_qam, modulate, quantize, demap
+from .constellation import make_qam, modulate, quantize, demap
 from .channel import (
     draw_channel,
     draw_reference,
@@ -14,7 +14,6 @@ from .channel import (
 )
 from .frontend import DualSlotObservation, observe_single, observe_prss
 from .reconstruct import (
-    ReconstructedSignal,
     DegenerateReferenceError,
     SingularOffsetError,
     effective_observations,
@@ -23,10 +22,8 @@ from .reconstruct import (
     reconstruct_general,
     predicted_trace,
     predicted_mse,
-    empirical_noise_variance,
 )
 from .detect import (
-    DetectionResult,
     SearchBudgetError,
     IllConditionedChannelError,
     ml_linear,
@@ -35,13 +32,6 @@ from .detect import (
 )
 from .montecarlo import (
     ExperimentConfig,
-    BerEstimate,
-    BerSweepRecord,
-    PhiSweepRecord,
-    RsrSweepRecord,
-    default_phi_grid,
-    run_trial,
-    run_variance_trial,
     run_ber_sweep,
     run_phi_sweep,
     run_rsr_sweep,

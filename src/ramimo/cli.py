@@ -1,4 +1,4 @@
-"""Command-line front end: runs sweeps, writes CSV + manifest (+ optional SVG).
+"""Command-line front end: runs sweeps, writes CSV + manifest.
 
 Config precedence is flags > config file > built-in defaults.  A config file
 is either an INI file with one section per command or a manifest JSON written
@@ -30,7 +30,6 @@ from .montecarlo import (
     split_singular,
 )
 from .reconstruct import predicted_mse, predicted_trace
-from .svgplot import write_svg
 
 # built-in defaults per command (the m=512/n=2 variance-study geometry keeps
 # the Taylor bias small while vectorizing the per-receiver statistics)
@@ -113,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int,
                        help=f"master seed (default {ExperimentConfig.master_seed})")
         p.add_argument("--threads", type=int, help="worker processes (default: one per usable core)")
-        p.add_argument("--svg", action="store_true", help="also write an SVG plot")
         p.add_argument("--m", type=int, help="number of receivers")
         p.add_argument("--n", type=int, help="number of user antennas")
         p.add_argument("--qam", type=int, help="QAM order (0 = scheme default)")
@@ -149,11 +147,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_config(path: str):
+    try:
+        return open(path, encoding="utf-8")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise UsageError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+
+
 def _load_config_layer(path: str, command: str) -> dict:
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
     if path.endswith(".json"):
-        with open(path, encoding="utf-8") as fh:
+        with _open_config(path) as fh:
             try:
                 manifest = json.load(fh)
             except ValueError:  # not JSON, or not UTF-8
@@ -166,10 +169,11 @@ def _load_config_layer(path: str, command: str) -> dict:
             )
         return dict(manifest.get("config", manifest))
     ini = configparser.ConfigParser()
-    try:
-        ini.read(path)
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise UsageError(f"{path}: not an INI config: {exc}") from exc
+    with _open_config(path) as fh:
+        try:
+            ini.read_file(fh)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise UsageError(f"{path}: not an INI config: {exc}") from exc
     if ini.has_section(command):
         return {k.replace("-", "_"): v for k, v in ini.items(command)}
     return {k.replace("-", "_"): v for k, v in ini.items("DEFAULT")}
@@ -202,7 +206,8 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             resolved[key] = _coerce(layer[key], type(default), f"{args.config}: {key}")
         else:
             resolved[key] = default
-    resolved["svg"] = bool(args.svg or str(layer.get("svg", "")).lower() in ("1", "true", "yes"))
+    if resolved["threads"] < 1:
+        raise UsageError(f"threads must be >= 1, got {resolved['threads']}")
     return resolved
 
 
@@ -245,7 +250,7 @@ def _phi_grid_from(resolved: dict) -> tuple[tuple[float, ...], tuple[float, ...]
     return usable, skipped
 
 
-def _cmd_phi_sweep(resolved: dict, out_dir: str) -> list[str]:
+def _cmd_phi_sweep(resolved: dict) -> tuple[list, list[str]]:
     usable, skipped = _phi_grid_from(resolved)
     cfg = _checked_config(
         m=resolved["m"], n=resolved["n"], scheme="prss", qam_order=resolved["qam"],
@@ -258,25 +263,10 @@ def _cmd_phi_sweep(resolved: dict, out_dir: str) -> list[str]:
         [_g(r.phi), _g(r.sigma_ve_sq), _g(r.sigma_v_sq), _g(r.rsr_db), r.samples, r.seed]
         for r in records
     ]
-    csv_path = os.path.join(out_dir, "phi_sweep.csv")
-    comments = [f"skipped phi={_g(p)}: singular offset" for p in skipped]
-    _write_csv(csv_path, CSV_HEADERS["phi-sweep"], rows, comments)
-    outputs = [csv_path]
-    if resolved["svg"]:
-        svg_path = os.path.join(out_dir, "phi_sweep.svg")
-        write_svg(
-            svg_path,
-            [("empirical", [r.phi for r in records], [r.sigma_ve_sq for r in records]),
-             ("predicted", [r.phi for r in records],
-              [predicted_mse(r.phi, r.sigma_v_sq) for r in records])],
-            "phase offset (rad)", "effective noise variance", log_y=True,
-            title=f"RSR = {_g(resolved['rsr_db'])} dB",
-        )
-        outputs.append(svg_path)
-    return outputs
+    return rows, [f"skipped phi={_g(p)}: singular offset" for p in skipped]
 
 
-def _cmd_rsr_sweep(resolved: dict, out_dir: str) -> list[str]:
+def _cmd_rsr_sweep(resolved: dict) -> tuple[list, list[str]]:
     rsr_list = _float_list(resolved["rsr_db_list"])
     sv_list = _float_list(resolved["sigma_v_sq_list"])
     if not rsr_list or not sv_list:
@@ -291,23 +281,10 @@ def _cmd_rsr_sweep(resolved: dict, out_dir: str) -> list[str]:
         [_g(r.rsr_db), _g(r.sigma_v_sq), _g(r.sigma_ve_sq), r.samples, r.seed]
         for r in records
     ]
-    csv_path = os.path.join(out_dir, "rsr_sweep.csv")
-    _write_csv(csv_path, CSV_HEADERS["rsr-sweep"], rows)
-    outputs = [csv_path]
-    if resolved["svg"]:
-        svg_path = os.path.join(out_dir, "rsr_sweep.svg")
-        series = []
-        for sv in sv_list:
-            pts = [r for r in records if r.sigma_v_sq == sv]
-            series.append(
-                (f"sigma_v_sq={_g(sv)}", [r.rsr_db for r in pts], [r.sigma_ve_sq for r in pts])
-            )
-        write_svg(svg_path, series, "RSR (dB)", "effective noise variance", log_y=True)
-        outputs.append(svg_path)
-    return outputs
+    return rows, []
 
 
-def _cmd_ber(resolved: dict, out_dir: str) -> list[str]:
+def _cmd_ber(resolved: dict) -> tuple[list, list[str]]:
     snr_list = _float_list(resolved["snr_db_list"])
     if not snr_list:
         raise UsageError("snr-db-list must not be empty")
@@ -325,22 +302,10 @@ def _cmd_ber(resolved: dict, out_dir: str) -> list[str]:
          _g(r.estimate.half_width_95), r.seed]
         for r in records
     ]
-    csv_path = os.path.join(out_dir, "ber.csv")
-    _write_csv(csv_path, CSV_HEADERS["ber"], rows)
-    outputs = [csv_path]
-    if resolved["svg"]:
-        svg_path = os.path.join(out_dir, "ber.svg")
-        label = f"{resolved['scheme']}/{resolved['detector']}"
-        write_svg(
-            svg_path,
-            [(label, [r.snr_db for r in records], [r.estimate.ber for r in records])],
-            "SNR (dB)", "BER", log_y=True,
-        )
-        outputs.append(svg_path)
-    return outputs
+    return rows, []
 
 
-def _cmd_trace_curve(resolved: dict, out_dir: str) -> list[str]:
+def _cmd_trace_curve(resolved: dict) -> tuple[list, list[str]]:
     u_mod = resolved["u_mod"]
     sv = resolved["sigma_v_sq"]
     if not (math.isfinite(u_mod) and u_mod > 0):
@@ -352,20 +317,7 @@ def _cmd_trace_curve(resolved: dict, out_dir: str) -> list[str]:
         [_g(p), _g(predicted_trace(p, u_mod)), _g(predicted_mse(p, sv)), _g(sv), _g(u_mod)]
         for p in usable
     ]
-    csv_path = os.path.join(out_dir, "trace_curve.csv")
-    comments = [f"skipped phi={_g(p)}: singular offset" for p in skipped]
-    _write_csv(csv_path, CSV_HEADERS["trace-curve"], rows, comments)
-    outputs = [csv_path]
-    if resolved["svg"]:
-        svg_path = os.path.join(out_dir, "trace_curve.svg")
-        write_svg(
-            svg_path,
-            [("trace", usable, [predicted_trace(p, u_mod) for p in usable]),
-             ("mse", usable, [predicted_mse(p, sv) for p in usable])],
-            "phase offset (rad)", "predicted value", log_y=True,
-        )
-        outputs.append(svg_path)
-    return outputs
+    return rows, [f"skipped phi={_g(p)}: singular offset" for p in skipped]
 
 
 _RUNNERS = {
@@ -379,25 +331,20 @@ _RUNNERS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     command = args.command
+    stem = os.path.join(args.out, command.replace("-", "_"))
     try:
         resolved = _resolve(args, command)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = args.out
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        outputs = _RUNNERS[command](resolved, out_dir)
+        os.makedirs(args.out, exist_ok=True)
+        rows, comments = _RUNNERS[command](resolved)
+        _write_csv(f"{stem}.csv", CSV_HEADERS[command], rows, comments)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
-    manifest_path = os.path.join(out_dir, f"{command.replace('-', '_')}.manifest.json")
-    _write_manifest(manifest_path, command, resolved, outputs)
-    for path in outputs + [manifest_path]:
-        print(f"wrote {path}")
+    _write_manifest(f"{stem}.manifest.json", command, resolved, [f"{stem}.csv"])
+    print(f"wrote {stem}.csv\nwrote {stem}.manifest.json")
     return 0
 
 

@@ -19,13 +19,12 @@ class Constellation:
 
     Attributes:
         order: Number of points J (a power of 4).
-        points: Complex array of length J, mean |point|^2 == 1.
-        bit_labels: Label strings; bit_labels[i] is the binary form of i.
+        points: Complex array of length J, mean |point|^2 == 1; the point at
+            index i carries the bit label format(i, f"0{bits_per_symbol}b").
     """
 
     order: int
     points: np.ndarray
-    bit_labels: tuple[str, ...]
     bits_per_symbol: int = field(init=False)
 
     def __post_init__(self):
@@ -69,8 +68,7 @@ def make_qam(order: int) -> Constellation:
     im = np.tile(axis, side)
     points = re + 1j * im
     points /= np.sqrt(np.mean(np.abs(points) ** 2))
-    labels = tuple(format(v, f"0{k}b") for v in range(order))
-    return Constellation(order=order, points=points, bit_labels=labels)
+    return Constellation(order=order, points=points)
 
 
 def modulate(bits: np.ndarray, c: Constellation) -> np.ndarray:

@@ -130,6 +130,20 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must hold finite numbers, got {bad[0]}")
         if any(v < 0 for v in self.sigma_v_sq_list):
             raise ValueError(f"sigma_v_sq_list must hold values >= 0, got {self.sigma_v_sq_list}")
+        for snr_db in self.snr_db_list:
+            try:
+                snr_db_to_sigma_v_sq(snr_db)
+            except OverflowError:
+                raise ValueError(f"snr_db={snr_db!r} overflows the noise variance") from None
+        # prss divides by |r|; single_shot's detector handles r = 0; rf_baseline has no r
+        rsr_values = {"prss": (self.rsr_db, *self.rsr_db_list), "single_shot": (self.rsr_db,)}
+        for rsr_db in rsr_values.get(self.scheme, ()):
+            try:
+                mag = reference_magnitude(self.n, rsr_db)
+            except OverflowError:
+                mag = math.inf
+            if not math.isfinite(mag) or (mag == 0 and self.scheme == "prss"):
+                raise ValueError(f"rsr_db={rsr_db!r} gives a reference magnitude of {mag}")
         if self.scheme == "prss" and abs(math.sin(self.phi)) < SIN_PHI_TOL:
             raise ValueError(f"phi={self.phi!r} is a singular offset for prss (sin(phi) = 0)")
         # a BER sweep's ML search must fit the budget; variance sweeps never detect
@@ -272,9 +286,9 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, keys=None) -> tuple[int, 
         else:
             obs = observe_prss(H, x, r, v1, v2, cfg.phi)
             if abs(abs(cfg.phi) - PI_HALF) < 1e-12:
-                s = reconstruct_optimal(obs, r, sign=1 if cfg.phi > 0 else -1).s_hat
+                s = reconstruct_optimal(obs, r, sign=1 if cfg.phi > 0 else -1)
             else:
-                s = reconstruct_general(obs, r, cfg.phi).s_hat
+                s = reconstruct_general(obs, r, cfg.phi)
         det = ml_linear(s, H, c) if cfg.detector == "ml" else zf_linear(s, H, c)
     return int(np.count_nonzero(demap(det.x_hat, c) != bits)), bits.size
 
@@ -319,7 +333,7 @@ def _recover(draws: _VarianceDraws, n: int, rsr_db: float, sigma_v_sq: float, ph
     r = reference_magnitude(n, rsr_db) * draws.e
     scale = noise_scale(sigma_v_sq)
     obs = observe_prss(draws.H, draws.x, r, scale * draws.w1, scale * draws.w2, phi)
-    return reconstruct_general(obs, r, phi).s_hat
+    return reconstruct_general(obs, r, phi)
 
 
 def run_variance_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:

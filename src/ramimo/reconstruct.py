@@ -11,8 +11,6 @@ receiver noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .frontend import DualSlotObservation
@@ -26,14 +24,6 @@ class DegenerateReferenceError(ValueError):
 
 class SingularOffsetError(ValueError):
     """sin(phi) ~ 0: both slots project onto the same axis, no inverse exists."""
-
-
-@dataclass(frozen=True)
-class ReconstructedSignal:
-    """Complex estimate of the received signal plus the phase normalizers used."""
-
-    s_hat: np.ndarray
-    u: np.ndarray
 
 
 def _normalizers(r: np.ndarray) -> np.ndarray:
@@ -58,8 +48,8 @@ def effective_observations(
 
 def reconstruct_optimal(
     z: DualSlotObservation, r: np.ndarray, sign: int = 1
-) -> ReconstructedSignal:
-    """Closed-form estimate for a quarter-turn offset, phi = sign * pi/2.
+) -> np.ndarray:
+    """Closed-form estimate s_hat for a quarter-turn offset, phi = sign * pi/2.
 
     s_hat_m = conj(u_m) * (y1_m - j*y2_m) for sign=+1, and the conjugate
     combination (y1_m + j*y2_m) for sign=-1.  Requires observations taken at
@@ -74,8 +64,7 @@ def reconstruct_optimal(
         )
     u = _normalizers(r)
     y1, y2 = effective_observations(z, r)
-    s_hat = np.conj(u) * (y1 - 1j * sign * y2)
-    return ReconstructedSignal(s_hat=s_hat, u=u)
+    return np.conj(u) * (y1 - 1j * sign * y2)
 
 
 def build_measurement_matrix(u, phi: float) -> np.ndarray:
@@ -97,8 +86,8 @@ def build_measurement_matrix(u, phi: float) -> np.ndarray:
 
 def reconstruct_general(
     z: DualSlotObservation, r: np.ndarray, phi: float
-) -> ReconstructedSignal:
-    """Least-squares estimate for an arbitrary (non-degenerate) phase offset.
+) -> np.ndarray:
+    """Least-squares estimate s_hat for an arbitrary (non-degenerate) phase offset.
 
     Solves the per-receiver 2x2 system a_m @ [Re s_m, Im s_m] = [y1_m, y2_m];
     conditioning degrades as 1/sin^2(phi), so offsets with |sin phi| below
@@ -110,7 +99,7 @@ def reconstruct_general(
     u = _normalizers(r)
     rhs = np.stack(effective_observations(z, r), axis=-1)
     sol = np.linalg.solve(build_measurement_matrix(u, phi), rhs[..., None])[..., 0]
-    return ReconstructedSignal(s_hat=sol[..., 0] + 1j * sol[..., 1], u=u)
+    return sol[..., 0] + 1j * sol[..., 1]
 
 
 def predicted_trace(phi: float, u_mod: float = 1.0) -> float:
@@ -133,21 +122,3 @@ def predicted_mse(phi: float, sigma_v_sq: float) -> float:
     At phi = +-pi/2 this equals sigma_v_sq: no noise amplification.
     """
     return 0.5 * sigma_v_sq * predicted_trace(phi, 1.0)
-
-
-def empirical_noise_variance(s_hat_samples, s_true_samples) -> float:
-    """Mean of ||s_hat - s||^2 / M over a collection of reconstruction pairs."""
-    s_hat_samples = list(s_hat_samples)
-    s_true_samples = list(s_true_samples)
-    if not s_hat_samples or len(s_hat_samples) != len(s_true_samples):
-        raise ValueError("need equal-length, non-empty sample collections")
-    total = 0.0
-    count = 0
-    for s_hat, s in zip(s_hat_samples, s_true_samples):
-        s_hat = np.asarray(s_hat)
-        s = np.asarray(s)
-        if s_hat.shape != s.shape:
-            raise ValueError(f"sample shape mismatch: {s_hat.shape} vs {s.shape}")
-        total += np.sum(np.abs(s_hat - s) ** 2)
-        count += s.size
-    return total / count

@@ -34,6 +34,22 @@ def test_manifest_rerun_byte_identical(tmp_path):
     assert (out1 / "ber.csv").read_bytes() == (out2 / "ber.csv").read_bytes()
 
 
+def test_manifest_with_svg_key_still_replays(tmp_path):
+    # manifests from versions that could plot hold an "svg" key; replay ignores it
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(BER_ARGS + ["--out", str(out1)]) == 0
+    manifest = out1 / "ber.manifest.json"
+    data = json.loads(manifest.read_text())
+    data["config"]["svg"] = True
+    manifest.write_text(json.dumps(data))
+    assert main(["ber", "--config", str(manifest), "--out", str(out2)]) == 0
+    assert (out1 / "ber.csv").read_bytes() == (out2 / "ber.csv").read_bytes()
+    assert not list(out2.glob("*.svg"))
+    assert json.loads((out2 / "ber.manifest.json").read_text())["outputs"] == [
+        str(out2 / "ber.csv")
+    ]
+
+
 def test_manifest_records_run_environment(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(BER_ARGS + ["--out", str(out1), "--threads", "2"]) == 0
@@ -111,13 +127,6 @@ def test_trace_curve_values(tmp_path):
     assert float(row_quarter_pi[1]) == 4.0
 
 
-def test_svg_written(tmp_path):
-    out = tmp_path / "o"
-    assert main(BER_ARGS + ["--out", str(out), "--svg"]) == 0
-    svg = (out / "ber.svg").read_text()
-    assert svg.startswith("<svg") and "polyline" in svg
-
-
 def test_usage_errors_exit_2(tmp_path):
     out = str(tmp_path / "o")
     assert main(["ber", "--snr-db-list", "", "--out", out]) == 2
@@ -139,6 +148,8 @@ BAD_CONFIGS = {
     "fraction_m.json": (json.dumps({"command": "rsr-sweep", "config": {"m": 4.7}}), "m = 4.7"),
     "bool_samples.json": (json.dumps({"config": {"samples": True}}), "samples = True"),
 }
+# config paths that are directories, so they cannot be read
+BAD_CONFIG_DIRS = ("dir_config", "dir_config.json")
 
 
 @pytest.mark.parametrize("argv", [
@@ -174,11 +185,23 @@ BAD_CONFIGS = {
     ["ber", "--snr-db-list", "4", "--trials", str(2**32 + 1)],
     ["phi-sweep", "--m", "1", "--samples", str(2**32 + 1)],
     ["rsr-sweep", "--sigma-v-sq-list", "0.1,-0.1"],
+    # reference magnitudes and noise variances that underflow to 0 or overflow
+    ["rsr-sweep", "--rsr-db-list=-4000"],
+    ["phi-sweep", "--rsr-db=-4000"],
+    ["rsr-sweep", "--rsr-db-list=4000"],
+    ["ber", "--rsr-db=4000"],
+    ["ber", "--snr-db-list=-4000"],
+    ["ber", "--config", "dir_config"],
+    ["ber", "--config", "dir_config.json"],
+    ["trace-curve", "--threads", "-3"],
 ])
 def test_bad_input_refused_before_any_trial(tmp_path, argv, capsys):
     for name, (text, _) in BAD_CONFIGS.items():
         (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / a) if a in BAD_CONFIGS else a for a in argv]
+    for name in BAD_CONFIG_DIRS:
+        (tmp_path / name).mkdir()
+    named = {*BAD_CONFIGS, *BAD_CONFIG_DIRS}
+    argv = [str(tmp_path / a) if a in named else a for a in argv]
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 2
     assert not list(out.glob("*.csv"))
@@ -186,11 +209,17 @@ def test_bad_input_refused_before_any_trial(tmp_path, argv, capsys):
     for name, (_, key) in BAD_CONFIGS.items():
         if str(tmp_path / name) in argv:
             assert str(tmp_path / name) in err and key in err
+    for name in BAD_CONFIG_DIRS:
+        if str(tmp_path / name) in argv:
+            assert f"cannot read config file {tmp_path / name}" in err
 
 
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["ber", "--bogus"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # plotting is gone
+        main(["ber", "--svg"])
     assert exc.value.code == 2
 
 

@@ -4,13 +4,20 @@ import pytest
 from ramimo import demap, make_qam, modulate, quantize
 
 
+def _label(c, i: int) -> str:
+    """Bit label of point i by the module's contract: i in binary."""
+    return format(i, f"0{c.bits_per_symbol}b")
+
+
 @pytest.mark.parametrize("order", [4, 16, 64])
 def test_unit_energy_and_distinctness(order):
     c = make_qam(order)
     assert abs(np.mean(np.abs(c.points) ** 2) - 1.0) < 1e-12
     assert len(set(np.round(c.points, 12))) == order
-    assert len(set(c.bit_labels)) == order
-    assert all(len(lbl) == c.bits_per_symbol for lbl in c.bit_labels)
+    labels = ["".join(map(str, b)) for b in demap(c.points, c).reshape(order, -1)]
+    assert labels == [_label(c, i) for i in range(order)]
+    assert len(set(labels)) == order
+    assert all(len(lbl) == c.bits_per_symbol for lbl in labels)
 
 
 def test_qam4_points():
@@ -37,10 +44,11 @@ def test_non_square_order_rejected(order):
 @pytest.mark.parametrize("order", [4, 16, 64])
 def test_gray_adjacency(order):
     c = make_qam(order)
-    labels = {complex(np.round(p, 12)): lbl for p, lbl in zip(c.points, c.bit_labels)}
+    labels = {complex(np.round(p, 12)): _label(c, i) for i, p in enumerate(c.points)}
     res = np.unique(np.round(c.points.real, 12))
     step = res[1] - res[0]
-    for p, lbl in zip(c.points, c.bit_labels):
+    for i, p in enumerate(c.points):
+        lbl = _label(c, i)
         for neighbor in (p + step, p + 1j * step):
             key = complex(np.round(neighbor, 12))
             if key in labels:
@@ -56,9 +64,9 @@ def test_modulate_empty():
 def test_modulate_by_label():
     c = make_qam(16)
     for idx in (0, 5, 15):
-        bits = np.array([int(b) for b in c.bit_labels[idx]])
+        bits = np.array([int(b) for b in _label(c, idx)])
         assert modulate(bits, c)[0] == c.points[idx]
-    two = np.array([int(b) for b in c.bit_labels[3] + c.bit_labels[9]])
+    two = np.array([int(b) for b in _label(c, 3) + _label(c, 9)])
     assert np.array_equal(modulate(two, c), c.points[[3, 9]])
 
 

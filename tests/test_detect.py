@@ -77,7 +77,7 @@ def test_ml_matches_exhaustive_oracle_on_prss_trials():
             cfg = ExperimentConfig(master_seed=seed, sigma_v_sq=snr_db_to_sigma_v_sq(snr_db))
             for t in range(50):
                 _, x, H, r, v1, v2 = _draw_trial(cfg, t, "prss")
-                s_hat = reconstruct_optimal(observe_prss(H, x, r, v1, v2, cfg.phi), r).s_hat
+                s_hat = reconstruct_optimal(observe_prss(H, x, r, v1, v2, cfg.phi), r)
                 _assert_matches_oracle(s_hat, H, C16)
 
 

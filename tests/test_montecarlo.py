@@ -154,7 +154,7 @@ def _oracle_variance(cfg, t):
     r = draw_reference(cfg.m, cfg.n, cfg.rsr_db, stream_rng(seed, t, "reference"))
     v1 = draw_noise(cfg.m, cfg.sigma_v_sq, stream_rng(seed, t, "noise1"))
     v2 = draw_noise(cfg.m, cfg.sigma_v_sq, stream_rng(seed, t, "noise2"))
-    s_hat = reconstruct_general(observe_prss(H, x, r, v1, v2, cfg.phi), r, cfg.phi).s_hat
+    s_hat = reconstruct_general(observe_prss(H, x, r, v1, v2, cfg.phi), r, cfg.phi)
     return np.sum(np.abs(s_hat - H @ x) ** 2)
 
 

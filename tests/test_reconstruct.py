@@ -7,7 +7,6 @@ from ramimo import (
     SingularOffsetError,
     build_measurement_matrix,
     effective_observations,
-    empirical_noise_variance,
     observe_prss,
     predicted_mse,
     predicted_trace,
@@ -59,9 +58,8 @@ def test_reconstruct_optimal_zero_signal():
     r = 10.0 * np.exp(1j * np.array([0.3, -1.2]))
     obs = observe_prss(np.eye(2, dtype=complex), np.zeros(2, dtype=complex), r,
                        np.zeros(2), np.zeros(2), PI / 2)
-    rec = reconstruct_optimal(obs, r)
-    assert np.max(np.abs(rec.s_hat)) < 1e-12
-    assert np.max(np.abs(np.abs(rec.u) - 1.0)) < 1e-12
+    s_hat = reconstruct_optimal(obs, r)
+    assert np.max(np.abs(s_hat)) < 1e-12
 
 
 def test_reconstruct_optimal_worked_example_and_residual_halving():
@@ -72,12 +70,12 @@ def test_reconstruct_optimal_worked_example_and_residual_halving():
     for mag in (100.0, 200.0):
         r = np.array([mag + 0j])
         obs = observe_prss(H, s, r, zero, zero, PI / 2)
-        rec = reconstruct_optimal(obs, r, sign=1)
+        s_hat = reconstruct_optimal(obs, r, sign=1)
         # independent scalar oracle: exact magnitude arithmetic
         y1 = abs(mag + (1 + 2j)) - mag
         y2 = abs(mag + 1j * (1 + 2j)) - mag
-        assert abs(rec.s_hat[0] - (y1 - 1j * y2)) < 1e-12
-        errors[mag] = abs(rec.s_hat[0] - s[0])
+        assert abs(s_hat[0] - (y1 - 1j * y2)) < 1e-12
+        errors[mag] = abs(s_hat[0] - s[0])
     assert abs(errors[100.0] - abs(1.0198000393982198 + 1.9948980919870678j - (1 + 2j))) < 1e-12
     ratio = errors[200.0] / errors[100.0]
     assert 0.49 < ratio < 0.52  # second-order residual scales as 1/|r|
@@ -93,7 +91,7 @@ def test_residual_halves_when_reference_doubles():
         for mag in (200.0, 400.0):
             r = mag * np.exp(1j * phases)
             obs = observe_prss(np.eye(m, dtype=complex), s, r, np.zeros(m), np.zeros(m), PI / 2)
-            norms[mag] = np.linalg.norm(reconstruct_optimal(obs, r).s_hat - s)
+            norms[mag] = np.linalg.norm(reconstruct_optimal(obs, r) - s)
         assert 0.47 < norms[400.0] / norms[200.0] < 0.53
 
 
@@ -110,8 +108,8 @@ def test_reconstruct_optimal_negative_sign():
     s = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     r = 1e5 * np.exp(1j * rng.uniform(-PI, PI, m))
     obs = observe_prss(np.eye(m, dtype=complex), s, r, np.zeros(m), np.zeros(m), -PI / 2)
-    rec = reconstruct_optimal(obs, r, sign=-1)
-    assert np.max(np.abs(rec.s_hat - s)) < 1e-3
+    s_hat = reconstruct_optimal(obs, r, sign=-1)
+    assert np.max(np.abs(s_hat - s)) < 1e-3
     with pytest.raises(ValueError):
         reconstruct_optimal(obs, r, sign=2)
 
@@ -159,8 +157,7 @@ def test_general_equals_optimal_at_quarter_turn():
             obs, r, _ = _random_instance(rng, phi=sign * PI / 2)
             a = reconstruct_optimal(obs, r, sign=sign)
             b = reconstruct_general(obs, r, sign * PI / 2)
-            assert np.max(np.abs(a.s_hat - b.s_hat)) < 1e-12
-            assert np.array_equal(a.u, b.u)
+            assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_general_singular_offset():
@@ -177,8 +174,8 @@ def test_general_noiseless_oblique_offset():
     s = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     r = 1e4 * np.exp(1j * rng.uniform(-PI, PI, m))
     obs = observe_prss(np.eye(m, dtype=complex), s, r, np.zeros(m), np.zeros(m), PI / 4)
-    rec = reconstruct_general(obs, r, PI / 4)
-    assert np.max(np.abs(rec.s_hat - s) / np.abs(s)) < 1e-3
+    s_hat = reconstruct_general(obs, r, PI / 4)
+    assert np.max(np.abs(s_hat - s) / np.abs(s)) < 1e-3
 
 
 def test_predicted_trace_values():
@@ -206,24 +203,12 @@ def test_predicted_mse_values():
         predicted_mse(PI, 0.1)
 
 
-def test_empirical_noise_variance_basics():
-    s = np.ones(4, dtype=complex)
-    assert empirical_noise_variance([s], [s]) == 0.0
-    assert empirical_noise_variance([np.array([1 + 0j])], [np.array([0j])]) == 1.0
-    with pytest.raises(ValueError):
-        empirical_noise_variance([], [])
-    with pytest.raises(ValueError):
-        empirical_noise_variance([s], [s, s])
-    with pytest.raises(ValueError):
-        empirical_noise_variance([s], [np.ones(3, dtype=complex)])
-
-
 def test_pipeline_noise_variance_at_high_reference():
     # strong reference: effective noise variance approaches the receiver's
     rng = np.random.default_rng(6)
     sigma = 0.1
     m, n, trials = 500, 2, 40
-    s_hats, s_trues = [], []
+    errors = []
     for _ in range(trials):
         H = np.sqrt(0.5 / n) * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
         x = rng.choice(np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2), n)
@@ -231,7 +216,6 @@ def test_pipeline_noise_variance_at_high_reference():
         v1 = np.sqrt(sigma / 2) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
         v2 = np.sqrt(sigma / 2) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
         obs = observe_prss(H, x, r, v1, v2, PI / 2)
-        s_hats.append(reconstruct_optimal(obs, r).s_hat)
-        s_trues.append(H @ x)
-    est = empirical_noise_variance(s_hats, s_trues)
+        errors.append(np.abs(reconstruct_optimal(obs, r) - H @ x) ** 2)
+    est = np.mean(errors)  # mean ||s_hat - s||^2 per receiver
     assert abs(est / sigma - 1.0) < 0.05
