@@ -12,7 +12,7 @@ from .channel import (
     stream_rng,
     derive_point_seed,
 )
-from .frontend import DualSlotObservation, observe_single, observe_prss
+from .frontend import observe_single, observe_prss
 from .reconstruct import (
     DegenerateReferenceError,
     SingularOffsetError,

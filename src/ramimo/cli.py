@@ -43,9 +43,11 @@ DEFAULTS = {
         "sigma_v_sq_list": "0.1,0.01,0.001", "samples": 100_000, "qam": 0,
     },
     "ber": {
-        "m": 8, "n": 4, "scheme": "prss", "detector": "ml", "qam": 0,
-        "rsr_db": 26.0, "snr_db_list": "0,2,4,6,8,10,12,14,16",
-        "trials": 20_000, "target_errors": 200, "phi": math.pi / 2,
+        "m": ExperimentConfig.m, "n": ExperimentConfig.n, "scheme": ExperimentConfig.scheme,
+        "detector": ExperimentConfig.detector, "qam": ExperimentConfig.qam_order,
+        "rsr_db": ExperimentConfig.rsr_db, "snr_db_list": "0,2,4,6,8,10,12,14,16",
+        "trials": 20_000, "target_errors": ExperimentConfig.target_errors,
+        "phi": ExperimentConfig.phi,
     },
     "trace-curve": {"sigma_v_sq": 0.1, "u_mod": 1.0, "phi_grid": ""},
 }
@@ -112,25 +114,28 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int,
                        help=f"master seed (default {ExperimentConfig.master_seed})")
         p.add_argument("--threads", type=int, help="worker processes (default: one per usable core)")
+
+    def trial(p):  # the commands that draw trials
+        common(p)
         p.add_argument("--m", type=int, help="number of receivers")
         p.add_argument("--n", type=int, help="number of user antennas")
         p.add_argument("--qam", type=int, help="QAM order (0 = scheme default)")
 
     p = sub.add_parser("phi-sweep", help="reconstruction error vs phase offset")
-    common(p)
+    trial(p)
     p.add_argument("--rsr-db", type=float, help="reference-to-signal ratio in dB")
     p.add_argument("--sigma-v-sq", type=float, help="receiver noise variance")
     p.add_argument("--samples", type=int, help="receiver samples per grid point")
     p.add_argument("--phi-grid", help="comma list of offsets in radians (default: pi/36 grid)")
 
     p = sub.add_parser("rsr-sweep", help="reconstruction error vs reference strength")
-    common(p)
+    trial(p)
     p.add_argument("--rsr-db-list", help="comma list of RSR values in dB")
     p.add_argument("--sigma-v-sq-list", help="comma list of noise variances")
     p.add_argument("--samples", type=int, help="receiver samples per sweep point")
 
     p = sub.add_parser("ber", help="BER vs SNR for one scheme/detector")
-    common(p)
+    trial(p)
     p.add_argument("--scheme", choices=SCHEMES)
     p.add_argument("--detector", choices=DETECTORS)
     p.add_argument("--rsr-db", type=float, help="reference-to-signal ratio in dB")
@@ -208,6 +213,8 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             resolved[key] = default
     if resolved["threads"] < 1:
         raise UsageError(f"threads must be >= 1, got {resolved['threads']}")
+    if resolved["seed"] < 0:
+        raise UsageError(f"seed must be >= 0, got {resolved['seed']}")
     return resolved
 
 

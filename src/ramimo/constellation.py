@@ -32,10 +32,6 @@ class Constellation:
         self.points.flags.writeable = False
 
 
-def _gray(i: int) -> int:
-    return i ^ (i >> 1)
-
-
 def _gray_inverse(g: int) -> int:
     i = g
     while g:

@@ -9,8 +9,6 @@ in the middle, from two half-lattices of about sqrt(J^N) candidates each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constellation import Constellation, quantize
@@ -23,26 +21,18 @@ COND_LIMIT = 1e12
 
 
 class SearchBudgetError(ValueError):
-    """Candidate count J^N exceeds the configured enumeration budget."""
+    """Candidate count J^N exceeds the enumeration budget, DEFAULT_SEARCH_BUDGET."""
 
 
 class IllConditionedChannelError(ValueError):
     """Channel matrix is rank deficient or numerically near-singular."""
 
 
-@dataclass(frozen=True)
-class DetectionResult:
-    """Detected symbol vector (constellation points) and its objective value."""
-
-    x_hat: np.ndarray
-    metric: float
-
-
-def _candidate_count(c: Constellation, n: int, budget: int) -> int:
+def _candidate_count(c: Constellation, n: int) -> int:
     count = c.order**n
-    if count > budget:
+    if count > DEFAULT_SEARCH_BUDGET:
         raise SearchBudgetError(
-            f"{c.order}^{n} = {count} candidates exceed the budget of {budget}"
+            f"{c.order}^{n} = {count} candidates exceed the budget of {DEFAULT_SEARCH_BUDGET}"
         )
     return count
 
@@ -102,12 +92,7 @@ def _residual_norms(s_hat: np.ndarray, H: np.ndarray, X: np.ndarray) -> np.ndarr
     return out
 
 
-def ml_linear(
-    s_hat: np.ndarray,
-    H: np.ndarray,
-    c: Constellation,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> DetectionResult:
+def ml_linear(s_hat: np.ndarray, H: np.ndarray, c: Constellation) -> np.ndarray:
     """Exact minimizer of ||s_hat - Hx||^2 over the symbol lattice.
 
     Meet in the middle: x = (x_a, x_b), where x_a holds the first
@@ -120,18 +105,18 @@ def ml_linear(
     The screen reassociates the sums, so it can move a score by a few ulps
     and split an exact tie. Every candidate whose screened score lies within
     ``tol`` of the screened minimum is therefore rescored by
-    ``_residual_norms``, and the lowest index among the exact minima wins;
-    its rescored value is the metric. With B = ||s_hat|| + max|x| sum_j ||h_j||,
-    every R_a, P_b and s_hat - Hx has norm at most B. First-order rounding
-    bounds put the screened value within (6M + 2N + 12) eps B^2 of the exact
-    metric and the rescored one within (M + 2N + 4) eps B^2, so an exact
-    minimum screens within twice their sum of the screened minimum, and
-    tol = 16 (M + N + 2) eps B^2 exceeds that.
+    ``_residual_norms``, and the lowest index among the exact minima wins.
+    With B = ||s_hat|| + max|x| sum_j ||h_j||, every R_a, P_b and s_hat - Hx
+    has norm at most B. First-order rounding bounds put the screened value
+    within (6M + 2N + 12) eps B^2 of the exact metric and the rescored one
+    within (M + 2N + 4) eps B^2, so an exact minimum screens within twice
+    their sum of the screened minimum, and tol = 16 (M + N + 2) eps B^2
+    exceeds that.
     """
     H = np.asarray(H)
     s_hat = np.asarray(s_hat, dtype=complex)
     m, n = H.shape
-    _candidate_count(c, n, budget)
+    _candidate_count(c, n)
     na = (n + 1) // 2
     xa, xb = _lattice(c, na), _lattice(c, n - na)
     ra = (s_hat - xa @ H[:, :na].T).view(float)
@@ -155,12 +140,10 @@ def ml_linear(
     index = np.concatenate(kept_index)
     index = index[np.concatenate(kept_score) <= best + tol]
     cand = np.hstack([xa[index % len(xa)], xb[index // len(xa)]])
-    exact = _residual_norms(s_hat, H, cand)
-    k = int(np.argmin(exact))
-    return DetectionResult(x_hat=cand[k], metric=float(exact[k]))
+    return cand[int(np.argmin(_residual_norms(s_hat, H, cand)))]
 
 
-def zf_linear(s_hat: np.ndarray, H: np.ndarray, c: Constellation) -> DetectionResult:
+def zf_linear(s_hat: np.ndarray, H: np.ndarray, c: Constellation) -> np.ndarray:
     """Pseudo-inverse equalization followed by per-element quantization."""
     H = np.asarray(H)
     s_hat = np.asarray(s_hat, dtype=complex)
@@ -171,19 +154,10 @@ def zf_linear(s_hat: np.ndarray, H: np.ndarray, c: Constellation) -> DetectionRe
     if sv[-1] == 0.0 or sv[0] > COND_LIMIT * sv[-1]:
         raise IllConditionedChannelError("channel condition number exceeds 1e12")
     gram = H.conj().T @ H
-    x_eq = np.linalg.solve(gram, H.conj().T @ s_hat)
-    x_hat = quantize(x_eq, c)
-    metric = float(np.sum(np.abs(s_hat - H @ x_hat) ** 2))
-    return DetectionResult(x_hat=x_hat, metric=metric)
+    return quantize(np.linalg.solve(gram, H.conj().T @ s_hat), c)
 
 
-def ml_single_shot(
-    z: np.ndarray,
-    H: np.ndarray,
-    r: np.ndarray,
-    c: Constellation,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> DetectionResult:
+def ml_single_shot(z: np.ndarray, H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarray:
     """Exhaustive minimizer of ||z - |Hx + r|||^2 on one slot's amplitudes.
 
     Amplitude-domain Euclidean distance is the ML surrogate for the
@@ -195,7 +169,7 @@ def ml_single_shot(
     z = np.asarray(z, dtype=float)
     r = np.asarray(r)
     n = H.shape[1]
-    count = _candidate_count(c, n, budget)
+    count = _candidate_count(c, n)
     best_metric = np.inf
     best_index = -1
     for lo, cand in _iter_candidates(c, n, count):
@@ -208,5 +182,4 @@ def ml_single_shot(
         if metrics[k] < best_metric:
             best_metric = float(metrics[k])
             best_index = lo + k
-    x_hat = _candidate_block(c, n, best_index, best_index + 1)[0]
-    return DetectionResult(x_hat=x_hat, metric=best_metric)
+    return _candidate_block(c, n, best_index, best_index + 1)[0]

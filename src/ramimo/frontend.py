@@ -7,24 +7,7 @@ noise and reference tone enters the readout before the magnitude is taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-def wrap_phase(phi: float) -> float:
-    """Map an angle to the principal interval (-pi, pi]."""
-    wrapped = (phi + np.pi) % (2.0 * np.pi) - np.pi
-    return np.pi if wrapped == -np.pi else float(wrapped)
-
-
-@dataclass(frozen=True)
-class DualSlotObservation:
-    """Amplitude readouts of the two transmission slots and the offset used."""
-
-    z1: np.ndarray
-    z2: np.ndarray
-    phi: float
 
 
 def _check_shapes(H: np.ndarray, x: np.ndarray, r: np.ndarray, v: np.ndarray) -> None:
@@ -61,12 +44,11 @@ def observe_prss(
     v1: np.ndarray,
     v2: np.ndarray,
     phi: float,
-) -> DualSlotObservation:
-    """Readouts of the same symbol vector sent twice, phase-rotated in slot 2.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Readouts (z1, z2) of the same symbol vector sent twice, rotated in slot 2.
 
     The channel and reference are held fixed across both slots; only the
     noise differs.  Slot 2 carries x * exp(j*phi).
     """
-    z1 = observe_single(H, x, r, v1)
-    z2 = observe_single(H, np.asarray(x) * np.exp(1j * phi), r, v2)
-    return DualSlotObservation(z1=z1, z2=z2, phi=wrap_phase(phi))
+    rotated = np.asarray(x) * np.exp(1j * phi)
+    return observe_single(H, x, r, v1), observe_single(H, rotated, r, v2)

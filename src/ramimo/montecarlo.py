@@ -40,7 +40,8 @@ from .channel import stream_rng  # noqa: F401  (perfbench's tracer patches this 
 from .constellation import demap, make_qam, modulate
 from .detect import DEFAULT_SEARCH_BUDGET, ml_linear, ml_single_shot, zf_linear
 from .frontend import observe_prss, observe_single, received
-from .reconstruct import SIN_PHI_TOL, reconstruct_general, reconstruct_optimal
+from .reconstruct import SIN_PHI_TOL, reconstruct_general
+from .reconstruct import reconstruct_optimal  # noqa: F401  (patched by perfbench's tracer)
 
 SCHEMES = ("prss", "single_shot", "rf_baseline")
 DETECTORS = ("ml", "zf")
@@ -144,8 +145,10 @@ class ExperimentConfig:
                 mag = math.inf
             if not math.isfinite(mag) or (mag == 0 and self.scheme == "prss"):
                 raise ValueError(f"rsr_db={rsr_db!r} gives a reference magnitude of {mag}")
-        if self.scheme == "prss" and abs(math.sin(self.phi)) < SIN_PHI_TOL:
-            raise ValueError(f"phi={self.phi!r} is a singular offset for prss (sin(phi) = 0)")
+        if self.scheme == "prss":
+            for phi in (self.phi, *self.phi_list):
+                if abs(math.sin(phi)) < SIN_PHI_TOL:
+                    raise ValueError(f"phi={phi!r} is a singular offset for prss (sin(phi) = 0)")
         # a BER sweep's ML search must fit the budget; variance sweeps never detect
         if (self.snr_db_list and self.detector == "ml"
                 and self.order**self.n > DEFAULT_SEARCH_BUDGET):
@@ -279,18 +282,14 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, keys=None) -> tuple[int, 
     c = _alphabet(cfg.order)
     bits, x, H, r, v1, v2 = _draw_trial(cfg, trial_index, cfg.scheme, keys)
     if cfg.scheme == "single_shot":
-        det = ml_single_shot(observe_single(H, x, r, v1), H, r, c)
+        x_hat = ml_single_shot(observe_single(H, x, r, v1), H, r, c)
     else:
         if cfg.scheme == "rf_baseline":
             s = H @ x + v1  # complex observation, no magnitude readout
         else:
-            obs = observe_prss(H, x, r, v1, v2, cfg.phi)
-            if abs(abs(cfg.phi) - PI_HALF) < 1e-12:
-                s = reconstruct_optimal(obs, r, sign=1 if cfg.phi > 0 else -1)
-            else:
-                s = reconstruct_general(obs, r, cfg.phi)
-        det = ml_linear(s, H, c) if cfg.detector == "ml" else zf_linear(s, H, c)
-    return int(np.count_nonzero(demap(det.x_hat, c) != bits)), bits.size
+            s = reconstruct_general(observe_prss(H, x, r, v1, v2, cfg.phi), r, cfg.phi)
+        x_hat = ml_linear(s, H, c) if cfg.detector == "ml" else zf_linear(s, H, c)
+    return int(np.count_nonzero(demap(x_hat, c) != bits)), bits.size
 
 
 class _VarianceDraws(NamedTuple):
@@ -332,8 +331,8 @@ def _recover(draws: _VarianceDraws, n: int, rsr_db: float, sigma_v_sq: float, ph
     variance and offset; bit for bit what each trial gives on its own."""
     r = reference_magnitude(n, rsr_db) * draws.e
     scale = noise_scale(sigma_v_sq)
-    obs = observe_prss(draws.H, draws.x, r, scale * draws.w1, scale * draws.w2, phi)
-    return reconstruct_general(obs, r, phi)
+    z = observe_prss(draws.H, draws.x, r, scale * draws.w1, scale * draws.w2, phi)
+    return reconstruct_general(z, r, phi)
 
 
 def run_variance_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -635,13 +634,13 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[BerSweepRecord]:
 
 
 def run_phi_sweep(cfg: ExperimentConfig) -> list[PhiSweepRecord]:
-    """Reconstruction error vs phase offset; fresh draws at every offset."""
-    usable, _ = split_singular(cfg.phi_list or default_phi_grid())
-    if not usable:
-        raise ValueError("phi grid contains no usable (non-singular) offsets")
+    """Reconstruction error vs phase offset; fresh draws at every offset.
+
+    Point i of phi_list (default: default_phi_grid()) runs on sub-seed i.
+    """
     records = []
     with _Workers(cfg.workers - 1) as pool:
-        for i, phi in enumerate(usable):
+        for i, phi in enumerate(cfg.phi_list or default_phi_grid()):
             seed = derive_point_seed(cfg.master_seed, i)
             [(sigma_ve_sq, samples)] = _variance_points(
                 replace(cfg, master_seed=seed), [(cfg.rsr_db, cfg.sigma_v_sq, phi)], pool

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frontend import DualSlotObservation
-
 SIN_PHI_TOL = 1e-9
+
+Readouts = tuple[np.ndarray, np.ndarray]  # (z1, z2), the two slots' amplitudes
 
 
 class DegenerateReferenceError(ValueError):
@@ -34,34 +34,25 @@ def _normalizers(r: np.ndarray) -> np.ndarray:
     return np.conj(r) / mag
 
 
-def effective_observations(
-    z: DualSlotObservation, r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both slots' readouts (y1, y2) with the known reference magnitude removed."""
+def effective_observations(z: Readouts, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Effective observations (y1, y2): the readouts z less the reference magnitude."""
+    z1, z2 = z
     mag = np.abs(np.asarray(r))
-    if z.z1.shape != mag.shape or z.z2.shape != mag.shape:
-        raise ValueError(
-            f"length mismatch: z1 {z.z1.shape}, z2 {z.z2.shape}, r {mag.shape}"
-        )
-    return z.z1 - mag, z.z2 - mag
+    if z1.shape != mag.shape or z2.shape != mag.shape:
+        raise ValueError(f"length mismatch: z1 {z1.shape}, z2 {z2.shape}, r {mag.shape}")
+    return z1 - mag, z2 - mag
 
 
-def reconstruct_optimal(
-    z: DualSlotObservation, r: np.ndarray, sign: int = 1
-) -> np.ndarray:
+def reconstruct_optimal(z: Readouts, r: np.ndarray, sign: int = 1) -> np.ndarray:
     """Closed-form estimate s_hat for a quarter-turn offset, phi = sign * pi/2.
 
     s_hat_m = conj(u_m) * (y1_m - j*y2_m) for sign=+1, and the conjugate
-    combination (y1_m + j*y2_m) for sign=-1.  Requires observations taken at
-    the matching offset; no correction is applied beyond the first-order
-    model, so the Taylor residual of order |s|^2/|r| remains.
+    combination (y1_m + j*y2_m) for sign=-1.  The readouts z = (z1, z2) must
+    have been taken at that offset; no correction is applied beyond the
+    first-order model, so the Taylor residual of order |s|^2/|r| remains.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if abs(z.phi - sign * np.pi / 2) > 1e-9:
-        raise ValueError(
-            f"observation was taken at phi={z.phi}, not the quarter-turn {sign * np.pi / 2}"
-        )
     u = _normalizers(r)
     y1, y2 = effective_observations(z, r)
     return np.conj(u) * (y1 - 1j * sign * y2)
@@ -84,16 +75,18 @@ def build_measurement_matrix(u, phi: float) -> np.ndarray:
     return a
 
 
-def reconstruct_general(
-    z: DualSlotObservation, r: np.ndarray, phi: float
-) -> np.ndarray:
-    """Least-squares estimate s_hat for an arbitrary (non-degenerate) phase offset.
+def reconstruct_general(z: Readouts, r: np.ndarray, phi: float) -> np.ndarray:
+    """Estimate s_hat from the readouts z = (z1, z2) taken at offset phi.
 
-    Solves the per-receiver 2x2 system a_m @ [Re s_m, Im s_m] = [y1_m, y2_m];
-    conditioning degrades as 1/sin^2(phi), so offsets with |sin phi| below
-    SIN_PHI_TOL are rejected outright. A stack of trials, readouts and r of
-    shape (..., M), is one solve over all of its systems.
+    Within 1e-12 of a quarter turn this is the closed form
+    (`reconstruct_optimal`). Elsewhere it solves the per-receiver 2x2 system
+    a_m @ [Re s_m, Im s_m] = [y1_m, y2_m] by least squares; conditioning
+    degrades as 1/sin^2(phi), so offsets with |sin phi| below SIN_PHI_TOL
+    are rejected outright. A stack of trials, readouts and r of shape
+    (..., M), is one call over all of its receivers.
     """
+    if abs(abs(phi) - np.pi / 2) < 1e-12:
+        return reconstruct_optimal(z, r, 1 if phi > 0 else -1)
     if abs(np.sin(phi)) < SIN_PHI_TOL:
         raise SingularOffsetError(f"phi={phi} gives a singular measurement matrix")
     u = _normalizers(r)

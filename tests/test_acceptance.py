@@ -230,7 +230,6 @@ def test_criterion_6_oracle_equivalences():
         observe_prss,
         predicted_trace,
         reconstruct_general,
-        reconstruct_optimal,
         zf_linear,
     )
 
@@ -242,27 +241,27 @@ def test_criterion_6_oracle_equivalences():
         m = int(rng.integers(2, 6))
         H = np.sqrt(0.5 / n) * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
         s_hat = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        res = ml_linear(s_hat, H, c)
+        x_hat = ml_linear(s_hat, H, c)
         best = None
         for digits in itertools.product(range(c.order), repeat=n):
             x = c.points[list(digits[::-1])]
             metric = float(np.sum(np.abs(s_hat - H @ x) ** 2))
             if best is None or metric < best[0]:
                 best = (metric, x)
-        assert np.array_equal(res.x_hat, best[1])
-        assert abs(res.metric - best[0]) < 1e-12
+        assert np.array_equal(x_hat, best[1])
 
-    # closed form vs 2x2 LS at the quarter-turn offset
+    # closed form vs an explicit 2x2 solve at the quarter-turn offset
     for _ in range(100):
         m = 8
         s = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         r = 30.0 * np.exp(1j * rng.uniform(-PI, PI, m))
         v1 = 0.1 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
         v2 = 0.1 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        obs = observe_prss(np.eye(m, dtype=complex), s, r, v1, v2, PI / 2)
-        a = reconstruct_optimal(obs, r)
-        b = reconstruct_general(obs, r, PI / 2)
-        assert np.max(np.abs(a - b)) < 1e-12
+        z1, z2 = observe_prss(np.eye(m, dtype=complex), s, r, v1, v2, PI / 2)
+        a = reconstruct_general((z1, z2), r, PI / 2)
+        rhs = np.stack([z1 - np.abs(r), z2 - np.abs(r)], axis=-1)[..., None]
+        sol = np.linalg.solve(build_measurement_matrix(np.conj(r) / np.abs(r), PI / 2), rhs)
+        assert np.max(np.abs(a - (sol[:, 0, 0] + 1j * sol[:, 1, 0]))) < 1e-12
 
     # analytic error amplification vs numeric Gram inversion
     for _ in range(100):
@@ -275,7 +274,7 @@ def test_criterion_6_oracle_equivalences():
     for _ in range(200):
         H = np.sqrt(0.5 / 4) * (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
         x = c16.points[rng.integers(0, 16, 4)]
-        assert np.array_equal(zf_linear(H @ x, H, c16).x_hat, x)
+        assert np.array_equal(zf_linear(H @ x, H, c16), x)
 
     # scalar rf_baseline ML vs the closed-form Rayleigh QPSK curve
     worst_sigmas = []

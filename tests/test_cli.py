@@ -194,6 +194,10 @@ BAD_CONFIG_DIRS = ("dir_config", "dir_config.json")
     ["ber", "--config", "dir_config"],
     ["ber", "--config", "dir_config.json"],
     ["trace-curve", "--threads", "-3"],
+    # trace-curve runs no trial: it has no geometry flags, and a seed must still be >= 0
+    ["trace-curve", "--m", "5"],
+    ["trace-curve", "--qam", "99"],
+    ["trace-curve", "--seed", "-4"],
 ])
 def test_bad_input_refused_before_any_trial(tmp_path, argv, capsys):
     for name, (text, _) in BAD_CONFIGS.items():
@@ -203,7 +207,11 @@ def test_bad_input_refused_before_any_trial(tmp_path, argv, capsys):
     named = {*BAD_CONFIGS, *BAD_CONFIG_DIRS}
     argv = [str(tmp_path / a) if a in named else a for a in argv]
     out = tmp_path / "o"
-    assert main(argv + ["--out", str(out)]) == 2
+    try:
+        code = main(argv + ["--out", str(out)])
+    except SystemExit as exc:  # argparse exits on a flag the command does not take
+        code = exc.code
+    assert code == 2
     assert not list(out.glob("*.csv"))
     err = capsys.readouterr().err
     for name, (_, key) in BAD_CONFIGS.items():

@@ -70,6 +70,8 @@ def test_config_validation():
     {"trials": MAX_TRIALS + 1},
     {"m": 1, "samples": MAX_TRIALS + 1},
     {"m": 512, "samples": 512 * MAX_TRIALS + 1},
+    # a prss phase sweep refuses a singular offset rather than drop it
+    {"phi_list": (PI / 2, 0.0)},
 ])
 def test_config_refuses_bad_numbers(kwargs):
     with pytest.raises(ValueError):
@@ -81,6 +83,7 @@ def test_config_accepts_valid_orders_and_unused_phi():
         ExperimentConfig(qam_order=order)
     ExperimentConfig(scheme="rf_baseline", phi=0.0)
     ExperimentConfig(scheme="single_shot", phi=0.0)
+    ExperimentConfig(scheme="rf_baseline", phi_list=(PI / 2, 0.0))
     # the ML budget binds only a BER sweep's ML detector, and admits 64^4 = 2^24 exactly
     ExperimentConfig(n=8)
     ExperimentConfig(n=8, detector="zf", snr_db_list=(10.0,))

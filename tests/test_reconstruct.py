@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+import ramimo.reconstruct
 from ramimo import (
     DegenerateReferenceError,
-    DualSlotObservation,
     SingularOffsetError,
     build_measurement_matrix,
     effective_observations,
@@ -22,23 +22,29 @@ def _random_instance(rng, m=6, sigma=0.1, r_mag=50.0, phi=PI / 2):
     r = r_mag * np.exp(1j * rng.uniform(-PI, PI, m))
     v1 = np.sqrt(sigma / 2) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
     v2 = np.sqrt(sigma / 2) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    obs = observe_prss(np.eye(m, dtype=complex), s, r, v1, v2, phi)
-    return obs, r, s
+    z = observe_prss(np.eye(m, dtype=complex), s, r, v1, v2, phi)
+    return z, r, s
+
+
+def _solve_oracle(z, r, phi):
+    """s_hat from an explicit per-receiver 2x2 solve of the first-order model."""
+    rhs = np.stack([z[0] - np.abs(r), z[1] - np.abs(r)], axis=-1)[..., None]
+    sol = np.linalg.solve(build_measurement_matrix(np.conj(r) / np.abs(r), phi), rhs)
+    return sol[..., 0, 0] + 1j * sol[..., 1, 0]
 
 
 def test_effective_observations_zero_signal():
     r = np.array([2 + 0j, -3j])
-    obs = DualSlotObservation(z1=np.abs(r), z2=np.abs(r), phi=PI / 2)
-    y1, y2 = effective_observations(obs, r)
+    y1, y2 = effective_observations((np.abs(r), np.abs(r)), r)
     assert np.array_equal(y1, np.zeros(2))
     assert np.array_equal(y2, np.zeros(2))
 
 
 def test_effective_observations_worked_example():
     r = np.array([100.0 + 0j])
-    obs = observe_prss(np.array([[1.0 + 0j]]), np.array([1 + 2j]), r,
-                       np.zeros(1), np.zeros(1), PI / 2)
-    y1, y2 = effective_observations(obs, r)
+    z = observe_prss(np.array([[1.0 + 0j]]), np.array([1 + 2j]), r,
+                     np.zeros(1), np.zeros(1), PI / 2)
+    y1, y2 = effective_observations(z, r)
     assert abs(y1[0] - (np.sqrt(10205) - 100)) < 1e-12
     assert abs(y2[0] - (np.sqrt(9605) - 100)) < 1e-12
     assert abs(y1[0] - 1.0198) < 1e-4
@@ -47,18 +53,18 @@ def test_effective_observations_worked_example():
 
 def test_effective_observations_zero_reference_passthrough():
     # r = 0 is degenerate for reconstruction but subtraction still passes z through
-    obs = DualSlotObservation(z1=np.array([1.5]), z2=np.array([2.5]), phi=PI / 2)
-    y1, y2 = effective_observations(obs, np.zeros(1))
+    z = (np.array([1.5]), np.array([2.5]))
+    y1, y2 = effective_observations(z, np.zeros(1))
     assert y1[0] == 1.5 and y2[0] == 2.5
     with pytest.raises(ValueError):
-        effective_observations(obs, np.zeros(2))
+        effective_observations(z, np.zeros(2))
 
 
 def test_reconstruct_optimal_zero_signal():
     r = 10.0 * np.exp(1j * np.array([0.3, -1.2]))
-    obs = observe_prss(np.eye(2, dtype=complex), np.zeros(2, dtype=complex), r,
-                       np.zeros(2), np.zeros(2), PI / 2)
-    s_hat = reconstruct_optimal(obs, r)
+    z = observe_prss(np.eye(2, dtype=complex), np.zeros(2, dtype=complex), r,
+                     np.zeros(2), np.zeros(2), PI / 2)
+    s_hat = reconstruct_optimal(z, r)
     assert np.max(np.abs(s_hat)) < 1e-12
 
 
@@ -69,8 +75,8 @@ def test_reconstruct_optimal_worked_example_and_residual_halving():
     errors = {}
     for mag in (100.0, 200.0):
         r = np.array([mag + 0j])
-        obs = observe_prss(H, s, r, zero, zero, PI / 2)
-        s_hat = reconstruct_optimal(obs, r, sign=1)
+        z = observe_prss(H, s, r, zero, zero, PI / 2)
+        s_hat = reconstruct_optimal(z, r, sign=1)
         # independent scalar oracle: exact magnitude arithmetic
         y1 = abs(mag + (1 + 2j)) - mag
         y2 = abs(mag + 1j * (1 + 2j)) - mag
@@ -90,16 +96,9 @@ def test_residual_halves_when_reference_doubles():
         norms = {}
         for mag in (200.0, 400.0):
             r = mag * np.exp(1j * phases)
-            obs = observe_prss(np.eye(m, dtype=complex), s, r, np.zeros(m), np.zeros(m), PI / 2)
-            norms[mag] = np.linalg.norm(reconstruct_optimal(obs, r) - s)
+            z = observe_prss(np.eye(m, dtype=complex), s, r, np.zeros(m), np.zeros(m), PI / 2)
+            norms[mag] = np.linalg.norm(reconstruct_optimal(z, r) - s)
         assert 0.47 < norms[400.0] / norms[200.0] < 0.53
-
-
-def test_reconstruct_optimal_rejects_mismatched_offset():
-    rng = np.random.default_rng(8)
-    obs, r, _ = _random_instance(rng, phi=PI / 4)
-    with pytest.raises(ValueError):
-        reconstruct_optimal(obs, r, sign=1)
 
 
 def test_reconstruct_optimal_negative_sign():
@@ -107,20 +106,21 @@ def test_reconstruct_optimal_negative_sign():
     m = 8
     s = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     r = 1e5 * np.exp(1j * rng.uniform(-PI, PI, m))
-    obs = observe_prss(np.eye(m, dtype=complex), s, r, np.zeros(m), np.zeros(m), -PI / 2)
-    s_hat = reconstruct_optimal(obs, r, sign=-1)
+    z = observe_prss(np.eye(m, dtype=complex), s, r, np.zeros(m), np.zeros(m), -PI / 2)
+    s_hat = reconstruct_optimal(z, r, sign=-1)
     assert np.max(np.abs(s_hat - s)) < 1e-3
     with pytest.raises(ValueError):
-        reconstruct_optimal(obs, r, sign=2)
+        reconstruct_optimal(z, r, sign=2)
 
 
 def test_reconstruct_degenerate_reference():
-    obs = DualSlotObservation(z1=np.ones(2), z2=np.ones(2), phi=PI / 2)
+    z = (np.ones(2), np.ones(2))
     r = np.array([1.0 + 0j, 0.0 + 0j])
     with pytest.raises(DegenerateReferenceError):
-        reconstruct_optimal(obs, r)
-    with pytest.raises(DegenerateReferenceError):
-        reconstruct_general(obs, r, PI / 2)
+        reconstruct_optimal(z, r)
+    for phi in (PI / 2, PI / 4):
+        with pytest.raises(DegenerateReferenceError):
+            reconstruct_general(z, r, phi)
 
 
 def test_measurement_matrix_examples():
@@ -151,21 +151,46 @@ def test_measurement_matrix_row_structure():
 
 
 def test_general_equals_optimal_at_quarter_turn():
+    # the closed form against an explicit 2x2 solve, not against itself
     rng = np.random.default_rng(2)
     for sign in (1, -1):
         for _ in range(50):
-            obs, r, _ = _random_instance(rng, phi=sign * PI / 2)
-            a = reconstruct_optimal(obs, r, sign=sign)
-            b = reconstruct_general(obs, r, sign * PI / 2)
-            assert np.max(np.abs(a - b)) < 1e-12
+            z, r, _ = _random_instance(rng, phi=sign * PI / 2)
+            oracle = _solve_oracle(z, r, sign * PI / 2)
+            assert np.max(np.abs(reconstruct_optimal(z, r, sign=sign) - oracle)) < 1e-12
+            assert np.max(np.abs(reconstruct_general(z, r, sign * PI / 2) - oracle)) < 1e-12
+
+
+def test_general_is_the_closed_form_at_exact_quarter_turns():
+    rng = np.random.default_rng(9)
+    for sign in (1, -1):
+        for _ in range(20):
+            z, r, _ = _random_instance(rng, phi=sign * PI / 2)
+            a = reconstruct_general(z, r, sign * PI / 2)
+            assert a.tobytes() == reconstruct_optimal(z, r, sign).tobytes()
+
+
+def test_general_solves_just_off_quarter_turns(monkeypatch):
+    def closed_form(*_):
+        raise AssertionError("the closed form ran off the quarter turn")
+
+    monkeypatch.setattr(ramimo.reconstruct, "reconstruct_optimal", closed_form)
+    rng = np.random.default_rng(10)
+    for phi in (PI / 2 + 1e-9, PI / 2 - 1e-9, -PI / 2 + 1e-9, -PI / 2 - 1e-9):
+        for _ in range(20):
+            z, r, _ = _random_instance(rng, phi=phi)
+            y1, y2 = effective_observations(z, r)
+            sign = 1 if phi > 0 else -1
+            closed = r / np.abs(r) * (y1 - 1j * sign * y2)  # conj(u) (y1 - j sign y2)
+            assert np.max(np.abs(reconstruct_general(z, r, phi) - closed)) < 1e-6
 
 
 def test_general_singular_offset():
     rng = np.random.default_rng(3)
-    obs, r, _ = _random_instance(rng)
+    z, r, _ = _random_instance(rng)
     for phi in (0.0, PI, -PI, 1e-12):
         with pytest.raises(SingularOffsetError):
-            reconstruct_general(obs, r, phi)
+            reconstruct_general(z, r, phi)
 
 
 def test_general_noiseless_oblique_offset():
@@ -173,8 +198,8 @@ def test_general_noiseless_oblique_offset():
     m = 32
     s = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     r = 1e4 * np.exp(1j * rng.uniform(-PI, PI, m))
-    obs = observe_prss(np.eye(m, dtype=complex), s, r, np.zeros(m), np.zeros(m), PI / 4)
-    s_hat = reconstruct_general(obs, r, PI / 4)
+    z = observe_prss(np.eye(m, dtype=complex), s, r, np.zeros(m), np.zeros(m), PI / 4)
+    s_hat = reconstruct_general(z, r, PI / 4)
     assert np.max(np.abs(s_hat - s) / np.abs(s)) < 1e-3
 
 
@@ -215,7 +240,7 @@ def test_pipeline_noise_variance_at_high_reference():
         r = np.sqrt(10**4.5 / n) * np.exp(1j * rng.uniform(-PI, PI, m))
         v1 = np.sqrt(sigma / 2) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
         v2 = np.sqrt(sigma / 2) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        obs = observe_prss(H, x, r, v1, v2, PI / 2)
-        errors.append(np.abs(reconstruct_optimal(obs, r) - H @ x) ** 2)
+        z = observe_prss(H, x, r, v1, v2, PI / 2)
+        errors.append(np.abs(reconstruct_optimal(z, r) - H @ x) ** 2)
     est = np.mean(errors)  # mean ||s_hat - s||^2 per receiver
     assert abs(est / sigma - 1.0) < 0.05
