@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 
 from . import __version__
 from .montecarlo import (
@@ -99,7 +100,10 @@ def _float_list(text) -> tuple[float, ...]:
         raise UsageError(f"cannot parse number list {text!r}") from exc
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    more than a small sweep's trials, and parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="ramimo",
         description="Amplitude-only atomic MIMO link simulator: "

@@ -9,9 +9,12 @@ evaluates every strength on the same draws so the recovery error can be
 compared pathwise across points.
 
 Each process derives a batch's stream keys once (`trial_keys`) and draws a
-trial's streams from one restarted generator (`keyed_rng`). Variance trials
-run stacked, a chunk of trials per numpy call; detection trials run one by
-one.
+trial's streams from one restarted generator (`keyed_rng`). Every other step
+runs stacked, a chunk of trials per numpy call: the frontend, reconstruction
+and squared error of a variance chunk; the frontend, reconstruction, ML
+detection, demapping and bit counting of a BER chunk (ZF still solves one
+trial at a time inside it). A stacked value is bit for bit what its trial
+gives alone.
 
 A run with W workers forks W - 1 worker processes, and the calling process
 runs trials beside them. While the workers exist, all W processes run
@@ -33,12 +36,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channel import (
-    MAX_TRIALS, derive_point_seed, draw_bits, draw_channel, draw_complex_normal, draw_noise,
-    draw_phasors, draw_reference, keyed_rng, noise_scale, reference_magnitude, trial_keys,
+    MAX_TRIALS, derive_point_seed, draw_bits, draw_channel, draw_complex_normal,
+    draw_phasors, keyed_rng, noise_scale, reference_magnitude, trial_keys,
 )
-from .channel import stream_rng  # noqa: F401  (perfbench's tracer patches this name here)
+# perfbench's tracer patches these names here
+from .channel import draw_noise, draw_reference, stream_rng  # noqa: F401
 from .constellation import demap, make_qam, modulate
-from .detect import DEFAULT_SEARCH_BUDGET, ml_linear, ml_single_shot, zf_linear
+from .detect import DEFAULT_SEARCH_BUDGET, ml_linear_stacked, ml_single_shot_stacked, zf_linear
+from .detect import ml_linear, ml_single_shot  # noqa: F401  (patched by perfbench's tracer)
 from .frontend import observe_prss, observe_single, received
 from .reconstruct import SIN_PHI_TOL, reconstruct_general
 from .reconstruct import reconstruct_optimal  # noqa: F401  (patched by perfbench's tracer)
@@ -64,6 +69,9 @@ _ROLES = {
 # receiver rows per stacked variance chunk (4 trials at M = 512): the
 # chunk's arrays stay under about 1 MB, and larger chunks ran no faster
 _VARIANCE_ROWS = 1 << 11
+# channel entries per stacked BER chunk (1 MB): a whole batch at 8x4, 8
+# trials at 128x64; the ML detectors bound their own tables (detect._STACK)
+_BER_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -250,108 +258,111 @@ def _batch_keys(seed: int, start: int, stop: int, roles: tuple[str, ...]) -> np.
     return keys
 
 
-def _draw_trial(cfg: ExperimentConfig, trial_index: int, scheme: str, keys=None):
-    """Trial draws (bits, x, H, r, v1, v2) for `scheme`.
-
-    keys is the trial's row of a key table over the scheme's roles (_ROLES);
-    it is derived here when None. Only the streams the scheme reads are
-    derived: rf_baseline has no reference (r is None) and only prss has a
-    second slot's noise (else v2 is None).
-    """
-    if keys is None:
-        keys = trial_keys(cfg.master_seed, trial_index, trial_index + 1, _ROLES[scheme])[0]
-    key = dict(zip(_ROLES[scheme], keys))
-    c = _alphabet(cfg.order)
-    bits = draw_bits(cfg.n * c.bits_per_symbol, keyed_rng(key["bits"]))
-    x = modulate(bits, c)
-    H = draw_channel(cfg.m, cfg.n, keyed_rng(key["channel"]))
-    v1 = draw_noise(cfg.m, cfg.sigma_v_sq, keyed_rng(key["noise1"]))
-    r = v2 = None
-    if scheme != "rf_baseline":
-        r = draw_reference(cfg.m, cfg.n, cfg.rsr_db, keyed_rng(key["reference"]))
-    if scheme == "prss":
-        v2 = draw_noise(cfg.m, cfg.sigma_v_sq, keyed_rng(key["noise2"]))
-    return bits, x, H, r, v1, v2
-
-
-def run_trial(cfg: ExperimentConfig, trial_index: int, keys=None) -> tuple[int, int]:
-    """One detection trial on fresh draws; returns (bit_errors, bits).
-
-    keys: the trial's row of its batch's key table, derived here when None.
-    """
-    c = _alphabet(cfg.order)
-    bits, x, H, r, v1, v2 = _draw_trial(cfg, trial_index, cfg.scheme, keys)
-    if cfg.scheme == "single_shot":
-        x_hat = ml_single_shot(observe_single(H, x, r, v1), H, r, c)
-    else:
-        if cfg.scheme == "rf_baseline":
-            s = H @ x + v1  # complex observation, no magnitude readout
-        else:
-            s = reconstruct_general(observe_prss(H, x, r, v1, v2, cfg.phi), r, cfg.phi)
-        x_hat = ml_linear(s, H, c) if cfg.detector == "ml" else zf_linear(s, H, c)
-    return int(np.count_nonzero(demap(x_hat, c) != bits)), bits.size
-
-
-class _VarianceDraws(NamedTuple):
-    """The scale-free draws of a chunk of prss trials, stacked on axis 0.
+class _Draws(NamedTuple):
+    """The scale-free draws of a chunk of trials, stacked on axis 0.
 
     The reference strength and the noise variance only scale e and w1/w2,
     so one chunk of draws serves every point of a reference-strength sweep.
+    A stream that the trials do not read is None.
     """
 
+    bits: np.ndarray  # (B, N * bits per symbol)
     x: np.ndarray  # (B, N) symbols
     H: np.ndarray  # (B, M, N) channels
-    s: np.ndarray  # (B, M) noiseless received signal Hx: the ground truth
-    e: np.ndarray  # (B, M) reference phasors
+    e: np.ndarray | None  # (B, M) reference phasors
     w1: np.ndarray  # (B, M) unscaled noise of slot 1
-    w2: np.ndarray  # (B, M) and of slot 2
+    w2: np.ndarray | None  # (B, M) and of slot 2
 
 
-def _variance_draws(cfg: ExperimentConfig, keys: np.ndarray) -> _VarianceDraws:
-    """Draws of the trials whose key-table rows (roles _ROLES["prss"]) are keys."""
+def _draws(cfg: ExperimentConfig, keys: np.ndarray, roles: tuple[str, ...]) -> _Draws:
+    """Draws of the trials whose key-table rows over `roles` are keys: one
+    draw per trial and role, each from its own stream."""
     c = _alphabet(cfg.order)
-
-    def each(role, draw, *args):  # one draw per trial, each from its own stream
-        column = keys[:, _ROLES["prss"].index(role)]
-        return np.stack([draw(*args, keyed_rng(k)) for k in column])
-
-    bits = each("bits", draw_bits, cfg.n * c.bits_per_symbol)
-    x = modulate(bits.ravel(), c).reshape(-1, cfg.n)
-    H = each("channel", draw_channel, cfg.m, cfg.n)
-    return _VarianceDraws(
-        x=x, H=H, s=received(H, x),
-        e=each("reference", draw_phasors, cfg.m),
-        w1=each("noise1", draw_complex_normal, cfg.m),
-        w2=each("noise2", draw_complex_normal, cfg.m),
+    how = {  # each role's draw and its arguments but the generator
+        "bits": (draw_bits, cfg.n * c.bits_per_symbol),
+        "channel": (draw_channel, cfg.m, cfg.n),
+        "reference": (draw_phasors, cfg.m),
+        "noise1": (draw_complex_normal, cfg.m),
+        "noise2": (draw_complex_normal, cfg.m),
+    }
+    out = dict.fromkeys(how)
+    for role, column in zip(roles, keys.transpose(1, 0, 2)):
+        draw, *args = how[role]
+        out[role] = np.array([draw(*args, keyed_rng(k)) for k in column])
+    bits = out["bits"]
+    return _Draws(
+        bits=bits, x=modulate(bits.ravel(), c).reshape(-1, cfg.n),
+        H=out["channel"], e=out["reference"], w1=out["noise1"], w2=out["noise2"],
     )
 
 
-def _recover(draws: _VarianceDraws, n: int, rsr_db: float, sigma_v_sq: float, phi: float):
-    """Stacked s_hat of a chunk's trials at one reference strength, noise
-    variance and offset; bit for bit what each trial gives on its own."""
+def _recover(draws: _Draws, n: int, rsr_db: float, sigma_v_sq: float, phi: float):
+    """Stacked s_hat of a chunk's prss trials at one reference strength,
+    noise variance and offset; bit for bit what each trial gives on its own."""
     r = reference_magnitude(n, rsr_db) * draws.e
     scale = noise_scale(sigma_v_sq)
     z = observe_prss(draws.H, draws.x, r, scale * draws.w1, scale * draws.w2, phi)
     return reconstruct_general(z, r, phi)
 
 
+def _ber_chunk(cfg: ExperimentConfig, keys: np.ndarray):
+    """Detection trials whose key-table rows (roles _ROLES[cfg.scheme]) are
+    keys, stacked: returns (observed, x_hat, errors), each on axis 0 per trial.
+
+    observed is what the detector reads: s_hat (rf_baseline's Hx + v1, or
+    prss's reconstruction), or single_shot's readout z. errors counts each
+    trial's wrong bits.
+    """
+    c = _alphabet(cfg.order)
+    draws = _draws(cfg, keys, _ROLES[cfg.scheme])
+    if cfg.scheme == "single_shot":
+        r = reference_magnitude(cfg.n, cfg.rsr_db) * draws.e
+        v1 = noise_scale(cfg.sigma_v_sq) * draws.w1
+        observed = observe_single(draws.H, draws.x, r, v1)
+        x_hat = ml_single_shot_stacked(observed, draws.H, r, c)
+    else:
+        if cfg.scheme == "rf_baseline":  # complex observation, no magnitude readout
+            observed = received(draws.H, draws.x) + noise_scale(cfg.sigma_v_sq) * draws.w1
+        else:
+            observed = _recover(draws, cfg.n, cfg.rsr_db, cfg.sigma_v_sq, cfg.phi)
+        if cfg.detector == "ml":
+            x_hat = ml_linear_stacked(observed, draws.H, c)
+        else:
+            x_hat = np.array([zf_linear(s, H, c) for s, H in zip(observed, draws.H)])
+    wrong = demap(x_hat.ravel(), c).reshape(draws.bits.shape) != draws.bits
+    return observed, x_hat, wrong.sum(axis=1)
+
+
+def run_trial(cfg: ExperimentConfig, trial_index: int, keys=None) -> tuple[int, int]:
+    """One detection trial on fresh draws; returns (bit_errors, bits).
+
+    The one-trial view of the BER chunk kernel. keys: the trial's row of its
+    batch's key table, derived here when None.
+    """
+    if keys is None:
+        keys = trial_keys(cfg.master_seed, trial_index, trial_index + 1, _ROLES[cfg.scheme])[0]
+    errors = _ber_chunk(cfg, keys[None])[2]
+    return int(errors[0]), cfg.n * _alphabet(cfg.order).bits_per_symbol
+
+
 def run_variance_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
     """One reconstruction trial: returns (s_hat, s) with s = Hx kept as ground truth."""
     keys = trial_keys(cfg.master_seed, trial_index, trial_index + 1, _ROLES["prss"])
-    draws = _variance_draws(cfg, keys)
-    return _recover(draws, cfg.n, cfg.rsr_db, cfg.sigma_v_sq, cfg.phi)[0], draws.s[0]
+    draws = _draws(cfg, keys, _ROLES["prss"])
+    s_hat = _recover(draws, cfg.n, cfg.rsr_db, cfg.sigma_v_sq, cfg.phi)
+    return s_hat[0], received(draws.H, draws.x)[0]
 
 
 def _ber_block(cfg: ExperimentConfig, start: int, stop: int, lo: int, hi: int) -> tuple[int, int]:
-    """(bit errors, bits) of trials lo..hi-1 of the batch start..stop-1."""
+    """(bit errors, bits) of trials lo..hi-1 of the batch start..stop-1.
+
+    Trials run in stacked chunks of at most _BER_ENTRIES channel entries.
+    """
     keys = _batch_keys(cfg.master_seed, start, stop, _ROLES[cfg.scheme])
-    errors = 0
-    bits = 0
-    for t in range(lo, hi):
-        e, b = run_trial(cfg, t, keys[t - start])
-        errors += e
-        bits += b
-    return errors, bits
+    step = max(1, _BER_ENTRIES // (cfg.m * cfg.n))
+    errors = sum(int(_ber_chunk(cfg, keys[a - start:min(a + step, hi) - start])[2].sum())
+                 for a in range(lo, hi, step))
+    return errors, (hi - lo) * cfg.n * _alphabet(cfg.order).bits_per_symbol
 
 
 def _variance_block(job, start: int, stop: int, lo: int, hi: int) -> np.ndarray:
@@ -370,9 +381,10 @@ def _variance_block(job, start: int, stop: int, lo: int, hi: int) -> np.ndarray:
 def _variance_chunk(cfg: ExperimentConfig, keys: np.ndarray, points) -> np.ndarray:
     """||s_hat - s||^2 at each point of the trials whose key rows are keys,
     drawn once for all the points: shape (points, trials)."""
-    draws = _variance_draws(cfg, keys)
+    draws = _draws(cfg, keys, _ROLES["prss"])
+    s = received(draws.H, draws.x)
     return np.array([
-        np.sum(np.abs(_recover(draws, cfg.n, *point) - draws.s) ** 2, axis=-1)
+        np.sum(np.abs(_recover(draws, cfg.n, *point) - s) ** 2, axis=-1)
         for point in points
     ])
 

@@ -17,10 +17,13 @@ from ramimo import (
     quantize,
     zf_linear,
 )
-from ramimo.detect import DEFAULT_SEARCH_BUDGET, _candidate_count, _residual_norms
-from ramimo.frontend import observe_prss
-from ramimo.montecarlo import _draw_trial, snr_db_to_sigma_v_sq
-from ramimo.reconstruct import reconstruct_general
+from ramimo import detect
+from ramimo.channel import trial_keys
+from ramimo.detect import (
+    DEFAULT_SEARCH_BUDGET, _candidate_count, _residual_norms, ml_linear_stacked,
+    ml_single_shot_stacked,
+)
+from ramimo.montecarlo import _ROLES, _draws, _recover, snr_db_to_sigma_v_sq
 
 C4 = make_qam(4)
 C16 = make_qam(16)
@@ -71,10 +74,10 @@ def test_ml_matches_exhaustive_oracle_on_prss_trials():
     for seed in (104, ExperimentConfig.master_seed):
         for snr_db in (6.0, 12.0, 18.0):
             cfg = ExperimentConfig(master_seed=seed, sigma_v_sq=snr_db_to_sigma_v_sq(snr_db))
+            draws = _draws(cfg, trial_keys(seed, 0, 50, _ROLES["prss"]), _ROLES["prss"])
+            s_hat = _recover(draws, cfg.n, cfg.rsr_db, cfg.sigma_v_sq, cfg.phi)
             for t in range(50):
-                _, x, H, r, v1, v2 = _draw_trial(cfg, t, "prss")
-                s_hat = reconstruct_general(observe_prss(H, x, r, v1, v2, cfg.phi), r, cfg.phi)
-                _assert_matches_oracle(s_hat, H, C16)
+                _assert_matches_oracle(s_hat[t], draws.H[t], C16)
 
 
 @pytest.mark.parametrize("m, n, c", [(4, 3, C4), (6, 5, C4), (3, 1, C4), (2, 1, C16), (4, 2, C64)])
@@ -87,13 +90,15 @@ def test_ml_matches_exhaustive_oracle_odd_and_edge_sizes(m, n, c):
         _assert_matches_oracle(s_hat, H, c)
 
 
+def _tie_prone_sizes(draw):
+    return draw(st.sampled_from([C4, C16])), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+
 @st.composite
-def _tie_prone_instances(draw):
+def _tie_prone_instances(draw, sizes=None):
     """Small instances built to hold exact ties: zero and duplicated columns,
-    a zero observation, integer-valued channels."""
-    c = draw(st.sampled_from([C4, C16]))
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 4))
+    a zero observation, integer-valued channels. sizes fixes (c, n, m)."""
+    c, n, m = sizes or _tie_prone_sizes(draw)
     if draw(st.booleans()):
         ints = st.integers(-2, 2)
         H = np.array(draw(st.lists(ints, min_size=2 * m * n, max_size=2 * m * n)), dtype=float)
@@ -122,6 +127,62 @@ def _tie_prone_instances(draw):
 def test_ml_ties_match_exhaustive_oracle(instance):
     s_hat, H, c = instance
     assert np.array_equal(ml_linear(s_hat, H, c), _exhaustive_ml(s_hat, H, c))
+
+
+@st.composite
+def _tie_prone_stacks(draw):
+    """Stacks of tie-prone instances of one size, as a chunk of trials."""
+    sizes = _tie_prone_sizes(draw)
+    stack = draw(st.lists(_tie_prone_instances(sizes), min_size=1, max_size=6))
+    return np.array([s for s, _, _ in stack]), np.array([H for _, H, _ in stack]), sizes[0]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_tie_prone_stacks())
+def test_stacked_ml_ties_match_exhaustive_oracle_per_trial(stack):
+    s_hat, H, c = stack
+    got = ml_linear_stacked(s_hat, H, c)
+    for t in range(len(H)):
+        assert np.array_equal(got[t], _exhaustive_ml(s_hat[t], H[t], c)), t
+
+
+def _prss_stack(trials, m, n, snr_db, seed):
+    """Reconstructed s_hat and H of `trials` prss trials, stacked."""
+    cfg = ExperimentConfig(m=m, n=n, master_seed=seed, sigma_v_sq=snr_db_to_sigma_v_sq(snr_db))
+    draws = _draws(cfg, trial_keys(seed, 0, trials, _ROLES["prss"]), _ROLES["prss"])
+    return _recover(draws, n, cfg.rsr_db, cfg.sigma_v_sq, cfg.phi), draws.H
+
+
+@pytest.mark.parametrize("screen, stack", [(64, 2048), (1000, 1 << 17), (1 << 14, 10_000)])
+def test_stacked_ml_matches_exhaustive_oracle_in_small_blocks(monkeypatch, screen, stack):
+    # small screens split one trial's scores into pruned slices; small
+    # stacks split the trials into groups that build their tables apart
+    monkeypatch.setattr(detect, "_SCREEN", screen)
+    monkeypatch.setattr(detect, "_STACK", stack)
+    s_hat, H = _prss_stack(40, 6, 3, 8.0, 44)
+    got = ml_linear_stacked(s_hat, H, C16)
+    for t in range(len(H)):
+        assert np.array_equal(got[t], _exhaustive_ml(s_hat[t], H[t], C16)), t
+
+
+@pytest.mark.parametrize("lattice", [16, 100, 1 << 16])
+def test_stacked_single_shot_matches_one_trial_in_small_blocks(monkeypatch, lattice):
+    # a lattice above _LATTICE is scored one trial at a time in blocks
+    monkeypatch.setattr(detect, "_LATTICE", lattice)
+    rng = np.random.default_rng(45)
+    t, m, n = 12, 5, 3
+    H = np.sqrt(0.5 / n) * (rng.standard_normal((t, m, n)) + 1j * rng.standard_normal((t, m, n)))
+    r = 3.0 * np.exp(1j * rng.uniform(-np.pi, np.pi, (t, m)))
+    x = C16.points[rng.integers(0, 16, (t, n))]
+    z = np.abs(np.einsum("tij,tj->ti", H, x) + r + 0.3 * rng.standard_normal((t, m)))
+    got = ml_single_shot_stacked(z, H, r, C16)
+    cand = _all_candidates(16, n)
+    for k in range(t):
+        s = cand @ H[k].T
+        s += r[k]
+        d = np.abs(s)
+        d -= z[k]
+        assert np.array_equal(got[k], cand[int(np.argmin(np.einsum("ij,ij->i", d, d)))]), k
 
 
 def test_ml_64qam_8x4_noiseless_in_bounded_memory():

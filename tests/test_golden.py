@@ -1,4 +1,5 @@
-"""Golden CSVs: every command's output bytes, pinned at one and two workers.
+"""Golden CSVs: every command's output bytes, pinned at one and two workers,
+and the BER commands also at three (a third decomposition into chunks).
 
 Each case runs `ramimo.cli.main` in-process on a small configuration and
 compares the CSV it writes with `tests/golden/<case>.csv` byte for byte.
@@ -74,8 +75,12 @@ def _run(case: str, threads: int, out: Path) -> bytes:
     return (out / csv_name).read_bytes()
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("case", sorted(CASES))
+# BER chunks are stacked, so a third worker count pins another decomposition
+RUNS = [(case, threads) for case in sorted(CASES)
+        for threads in ((1, 2, 3) if case.startswith("ber_") else (1, 2))]
+
+
+@pytest.mark.parametrize("case,threads", RUNS)
 def test_csv_matches_golden(case, threads, tmp_path):
     expected = (GOLDEN / f"{case}.csv").read_bytes()
     actual = _run(case, threads, tmp_path)

@@ -1,3 +1,4 @@
+import functools
 import math
 import multiprocessing
 import os
@@ -5,23 +6,29 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramimo import (
     ExperimentConfig,
+    demap,
     draw_channel,
     draw_noise,
     draw_reference,
     make_qam,
     modulate,
     observe_prss,
+    observe_single,
     reconstruct_general,
     run_ber_sweep,
     run_phi_sweep,
     run_rsr_sweep,
     stream_rng,
+    zf_linear,
 )
 from ramimo import montecarlo
-from ramimo.channel import MAX_TRIALS, STREAM_IDS
+from ramimo.channel import MAX_TRIALS, STREAM_IDS, trial_keys
+from ramimo.detect import _residual_norms, ml_linear_stacked, ml_single_shot_stacked
 from ramimo.montecarlo import (
     BATCH_TRIALS,
     BerEstimate,
@@ -182,6 +189,154 @@ def test_batched_variance_points_share_draws():
     for p, (rsr, sv, phi) in enumerate(points):
         point = replace(cfg, rsr_db=rsr, sigma_v_sq=sv, phi=phi)
         assert got[p].tobytes() == np.array([_oracle_variance(point, t) for t in range(7)]).tobytes()
+
+
+def _all_candidates(c, n):
+    """All J^N candidate vectors in mixed-radix order, first user's index fastest."""
+    return c.points[(np.arange(c.order**n)[:, None] // c.order ** np.arange(n)) % c.order]
+
+
+def _exhaustive_ml(s_hat, H, c):
+    """Lowest-index exact minimizer of ||s_hat - Hx||^2, every candidate
+    scored on its own by the rescoring helper (in slices, to bound memory)."""
+    cand = _all_candidates(c, H.shape[1])
+    metrics = np.concatenate(
+        [_residual_norms(s_hat, H, cand[lo : lo + 4096]) for lo in range(0, len(cand), 4096)]
+    )
+    return cand[int(np.argmin(metrics))]
+
+
+def _single_shot_one_trial(z, H, r, c):
+    """ml_single_shot as one trial ran it: each metric from the one-trial
+    product cand @ H.T, and the first minimum wins."""
+    cand = _all_candidates(c, H.shape[1])
+    s = cand @ H.T
+    s += r
+    d = np.abs(s)
+    d -= z
+    return cand[int(np.argmin(np.einsum("ij,ij->i", d, d)))]
+
+
+def _oracle_trial(cfg, t):
+    """Trial t drawn and detected on its own, as run_trial did before BER
+    chunks were stacked: (detector input, x_hat, bit errors, bits). ML is
+    the exhaustive minimizer that ml_linear is specified to return."""
+    c = make_qam(cfg.order)
+    seed = cfg.master_seed
+    bits = stream_rng(seed, t, "bits").integers(0, 2, cfg.n * c.bits_per_symbol)
+    x = modulate(bits, c)
+    H = draw_channel(cfg.m, cfg.n, stream_rng(seed, t, "channel"))
+    v1 = draw_noise(cfg.m, cfg.sigma_v_sq, stream_rng(seed, t, "noise1"))
+    if cfg.scheme == "single_shot":
+        r = draw_reference(cfg.m, cfg.n, cfg.rsr_db, stream_rng(seed, t, "reference"))
+        s = observe_single(H, x, r, v1)
+        x_hat = _single_shot_one_trial(s, H, r, c)
+    else:
+        if cfg.scheme == "rf_baseline":
+            s = H @ x + v1
+        else:
+            r = draw_reference(cfg.m, cfg.n, cfg.rsr_db, stream_rng(seed, t, "reference"))
+            v2 = draw_noise(cfg.m, cfg.sigma_v_sq, stream_rng(seed, t, "noise2"))
+            s = reconstruct_general(observe_prss(H, x, r, v1, v2, cfg.phi), r, cfg.phi)
+        x_hat = _exhaustive_ml(s, H, c) if cfg.detector == "ml" else zf_linear(s, H, c)
+    return s, x_hat, int(np.count_nonzero(demap(x_hat, c) != bits)), bits.size
+
+
+_CHUNK_CASES = {
+    # 8x4 16-QAM is the benchmark's size: its screen runs in pruned slices
+    "prss_ml_plus_half_pi": dict(scheme="prss", m=8, n=4, phi=PI / 2),
+    "prss_ml_minus_half_pi": dict(scheme="prss", m=6, n=3, phi=-PI / 2),
+    "prss_ml_oblique": dict(scheme="prss", m=6, n=3, phi=0.9),
+    "prss_ml_noiseless": dict(scheme="prss", m=6, n=3, rsr_db=120.0, sigma_v_sq=0.0),
+    "prss_zf_plus_half_pi": dict(scheme="prss", detector="zf", m=8, n=4, phi=PI / 2),
+    "prss_zf_minus_half_pi": dict(scheme="prss", detector="zf", m=8, n=4, phi=-PI / 2),
+    "prss_zf_oblique": dict(scheme="prss", detector="zf", m=8, n=4, phi=0.9),
+    "rf_baseline_ml_4qam": dict(scheme="rf_baseline", m=8, n=4, sigma_v_sq=0.3),
+    "rf_baseline_ml_16qam": dict(scheme="rf_baseline", m=4, n=3, qam_order=16),
+    "rf_baseline_zf": dict(scheme="rf_baseline", detector="zf", m=8, n=4, sigma_v_sq=0.3),
+    "single_shot_ml": dict(scheme="single_shot", m=6, n=3, sigma_v_sq=0.5),
+}
+_CHUNK_TRIALS = 32
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_case(case):
+    cfg = ExperimentConfig(master_seed=41, **_CHUNK_CASES[case])
+    return cfg, [_oracle_trial(cfg, t) for t in range(_CHUNK_TRIALS)]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, _CHUNK_TRIALS])
+@pytest.mark.parametrize("case", sorted(_CHUNK_CASES))
+def test_ber_chunks_match_one_trial_oracle(case, chunk):
+    cfg, want = _oracle_case(case)
+    keys = trial_keys(cfg.master_seed, 0, _CHUNK_TRIALS, montecarlo._ROLES[cfg.scheme])
+    got = [montecarlo._ber_chunk(cfg, keys[lo : lo + chunk])
+           for lo in range(0, _CHUNK_TRIALS, chunk)]
+    observed, x_hat, errors = (np.concatenate(part) for part in zip(*got))
+    bits = cfg.n * make_qam(cfg.order).bits_per_symbol
+    for t, (s, xh, e, b) in enumerate(want):
+        assert observed[t].tobytes() == s.tobytes(), t
+        assert x_hat[t].tobytes() == xh.tobytes(), t
+        assert (int(errors[t]), bits) == (e, b), t
+    total = sum(e for _, _, e, _ in want)
+    assert montecarlo._ber_block(cfg, 0, _CHUNK_TRIALS, 0, _CHUNK_TRIALS) == (
+        total, _CHUNK_TRIALS * bits)
+    if case == "prss_ml_noiseless":
+        assert total == 0
+    else:  # the comparison covers wrong decisions too
+        assert total > 0
+
+
+def test_stacked_detectors_keep_each_trials_lowest_index_tie():
+    """Trials with exact ties stacked among trials without: each trial
+    still gets its own lowest-index minimizer."""
+    c = make_qam(4)
+    rng = np.random.default_rng(43)
+    t, m, n = 9, 4, 3
+    H = np.sqrt(0.5 / n) * (rng.standard_normal((t, m, n)) + 1j * rng.standard_normal((t, m, n)))
+    H[0::3, :, 1] = 0.0  # user 2 is unseen: every value of its symbol ties
+    H[1::3] = np.round(4 * H[1::3])  # integer channels: exact sums
+    H[1::3, :, 2] = H[1::3, :, 0]  # users 1 and 3 share a column: swapped symbols tie
+    x = c.points[rng.integers(0, c.order, (t, n))]
+    s_hat = np.einsum("tij,tj->ti", H, x)
+    s_hat[1::3] = 0.0
+    got = ml_linear_stacked(s_hat, H, c)
+    for k in range(t):
+        assert np.array_equal(got[k], _exhaustive_ml(s_hat[k], H[k], c)), k
+    assert np.all(got[0::3, 1] == c.points[0])
+    # no reference: |Hx| cannot tell x from its rotations, so every trial ties
+    r = np.zeros((t, m), dtype=complex)
+    z = np.abs(np.einsum("tij,tj->ti", H, x))
+    got = ml_single_shot_stacked(z, H, r, c)
+    for k in range(t):
+        assert np.array_equal(got[k], _single_shot_one_trial(z[k], H[k], r[k], c)), k
+
+
+_VALID_PAIRS = [(s, d) for s in montecarlo.SCHEMES for d in montecarlo.DETECTORS
+                if not (s == "single_shot" and d != "ml")]
+
+
+@st.composite
+def _small_ber_configs(draw):
+    scheme, detector = draw(st.sampled_from(_VALID_PAIRS))
+    n = draw(st.integers(1, 3))
+    # ZF needs at least as many receivers as users
+    m = draw(st.integers(n if detector == "zf" else 1, 6))
+    return ExperimentConfig(
+        m=m, n=n, scheme=scheme, detector=detector,
+        qam_order=draw(st.sampled_from(montecarlo.QAM_ORDERS)),
+        phi=draw(st.sampled_from([PI / 2, 0.9])),
+        snr_db_list=(draw(st.sampled_from([0.0, 8.0, 16.0])),),
+        trials=draw(st.integers(1, 40)),
+        target_errors=draw(st.sampled_from([0, 5])),
+        master_seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_small_ber_configs())
+def test_ber_sweep_counts_equal_serial_and_parallel(cfg):
+    assert run_ber_sweep(replace(cfg, workers=2)) == run_ber_sweep(cfg)
 
 
 def test_variance_trial_returns_ground_truth_pair():

@@ -1,11 +1,14 @@
 """The benchmark's tracer patches ramimo functions by name; those names must resolve.
 
 `perfbench/tracer.py` looks its targets up with getattr, so a renamed or
-removed function makes `perfbench/run.py --trace 1` die with AttributeError.
+removed function makes `perfbench/run.py --trace 1` die with AttributeError;
+and a traced run must write the same CSV as an untraced one.
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 import ramimo.cli
 import ramimo.montecarlo
@@ -36,3 +39,26 @@ def test_patching_restores_every_name():
     with tracer.Tracer().patched():
         assert all(getattr(ramimo.montecarlo, name) is not fn for name, fn in before.items())
     assert all(getattr(ramimo.montecarlo, name) is fn for name, fn in before.items())
+
+
+@pytest.mark.parametrize("argv,csv_name", [
+    (["ber", "--scheme", "prss", "--m", "8", "--n", "4", "--snr-db-list", "12",
+      "--trials", "12", "--target-errors", "0"], "ber.csv"),
+    (["ber", "--scheme", "prss", "--detector", "zf", "--m", "8", "--n", "4", "--phi", "0.9",
+      "--snr-db-list", "12", "--trials", "12", "--target-errors", "0"], "ber.csv"),
+    (["ber", "--scheme", "single_shot", "--m", "8", "--n", "4", "--snr-db-list", "12",
+      "--trials", "12", "--target-errors", "0"], "ber.csv"),
+    (["ber", "--scheme", "rf_baseline", "--m", "8", "--n", "4", "--snr-db-list", "4",
+      "--trials", "12", "--target-errors", "0"], "ber.csv"),
+    (["phi-sweep", "--m", "32", "--n", "2", "--samples", "128",
+      "--phi-grid", "1.5707963267948966,0.9"], "phi_sweep.csv"),
+])
+def test_traced_run_writes_the_untraced_csv(tmp_path, argv, csv_name):
+    # the tracer's kernel counts read the arguments of every patched call,
+    # so a patched name called on a stack of trials would fail the traced run
+    tracer = _load_tracer()
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    assert ramimo.cli.main(argv + ["--threads", "1", "--out", str(plain)]) == 0
+    with tracer.Tracer().patched():
+        assert ramimo.cli.main(argv + ["--threads", "1", "--out", str(traced)]) == 0
+    assert (traced / csv_name).read_bytes() == (plain / csv_name).read_bytes()
