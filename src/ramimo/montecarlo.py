@@ -9,12 +9,13 @@ evaluates every strength on the same draws so the recovery error can be
 compared pathwise across points.
 
 Each process derives a batch's stream keys once (`trial_keys`) and draws a
-trial's streams from one restarted generator (`keyed_rng`). Every other step
-runs stacked, a chunk of trials per numpy call: the frontend, reconstruction
-and squared error of a variance chunk; the frontend, reconstruction, ML
-detection, demapping and bit counting of a BER chunk (ZF still solves one
-trial at a time inside it). A stacked value is bit for bit what its trial
-gives alone.
+trial's streams from one restarted generator (`keyed_rng`), each into its
+row of a chunk buffer per role. Every other step runs stacked, a chunk of
+trials per numpy call: the draws' elementwise steps; the frontend,
+reconstruction and squared error of a variance chunk; the frontend,
+reconstruction, ML detection, demapping and bit counting of a BER chunk (ZF
+still solves one trial at a time inside it). A stacked value is bit for bit
+what its trial gives alone.
 
 A run with W workers forks W - 1 worker processes, and the calling process
 runs trials beside them. While the workers exist, all W processes run
@@ -36,11 +37,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channel import (
-    MAX_TRIALS, derive_point_seed, draw_bits, draw_channel, draw_complex_normal,
-    draw_phasors, keyed_rng, noise_scale, reference_magnitude, trial_keys,
+    MAX_TRIALS, STREAM_IDS, derive_point_seed, keyed_rng, noise_scale, reference_magnitude,
+    trial_keys,
 )
 # perfbench's tracer patches these names here
-from .channel import draw_noise, draw_reference, stream_rng  # noqa: F401
+from .channel import draw_channel, draw_noise, draw_reference, stream_rng  # noqa: F401
 from .constellation import demap, make_qam, modulate
 from .detect import DEFAULT_SEARCH_BUDGET, ml_linear_stacked, ml_single_shot_stacked, zf_linear
 from .detect import ml_linear, ml_single_shot  # noqa: F401  (patched by perfbench's tracer)
@@ -276,22 +277,38 @@ class _Draws(NamedTuple):
 
 def _draws(cfg: ExperimentConfig, keys: np.ndarray, roles: tuple[str, ...]) -> _Draws:
     """Draws of the trials whose key-table rows over `roles` are keys: one
-    draw per trial and role, each from its own stream."""
+    draw per trial and role, each from its own stream.
+
+    Each stream writes its raw numbers into its trial's row of one chunk
+    buffer per role; the elementwise steps that turn them into channels,
+    phasors and noise then run once per chunk. They are the steps of
+    `draw_channel`, `draw_phasors` and `draw_complex_normal` on each row, so
+    every value is bit for bit what those and `draw_bits` give per trial.
+    """
     c = _alphabet(cfg.order)
-    how = {  # each role's draw and its arguments but the generator
-        "bits": (draw_bits, cfg.n * c.bits_per_symbol),
-        "channel": (draw_channel, cfg.m, cfg.n),
-        "reference": (draw_phasors, cfg.m),
-        "noise1": (draw_complex_normal, cfg.m),
-        "noise2": (draw_complex_normal, cfg.m),
-    }
-    out = dict.fromkeys(how)
+    trials, m, n = len(keys), cfg.m, cfg.n
+    out = dict.fromkeys(STREAM_IDS)
     for role, column in zip(roles, keys.transpose(1, 0, 2)):
-        draw, *args = how[role]
-        out[role] = np.array([draw(*args, keyed_rng(k)) for k in column])
+        if role == "bits":
+            buf = np.empty((trials, n * c.bits_per_symbol), dtype=np.int64)
+            for row, key in zip(buf, column):
+                row[:] = keyed_rng(key).integers(0, 2, len(row))
+            out[role] = buf
+        elif role == "reference":
+            buf = np.empty((trials, m))
+            for row, key in zip(buf, column):
+                keyed_rng(key).random(out=row)
+            # draw_phasors' phase uniform(0, 2 pi) is 0 + 2 pi u, which is 2 pi u
+            out[role] = np.exp(1j * (np.pi - 2.0 * np.pi * buf))
+        else:  # a complex normal: all real parts, then all imaginary parts
+            buf = np.empty((trials, 2, m, n) if role == "channel" else (trials, 2, m))
+            for row, key in zip(buf, column):
+                keyed_rng(key).standard_normal(out=row)
+            z = buf[:, 0] + 1j * buf[:, 1]
+            out[role] = np.sqrt(0.5 / n) * z if role == "channel" else z
     bits = out["bits"]
     return _Draws(
-        bits=bits, x=modulate(bits.ravel(), c).reshape(-1, cfg.n),
+        bits=bits, x=modulate(bits.ravel(), c).reshape(-1, n),
         H=out["channel"], e=out["reference"], w1=out["noise1"], w2=out["noise2"],
     )
 

@@ -80,7 +80,10 @@ def test_ml_matches_exhaustive_oracle_on_prss_trials():
                 _assert_matches_oracle(s_hat[t], draws.H[t], C16)
 
 
-@pytest.mark.parametrize("m, n, c", [(4, 3, C4), (6, 5, C4), (3, 1, C4), (2, 1, C16), (4, 2, C64)])
+# (1, 3), (2, 4) and (2, 3): K = min(M, N + 1) <= ceil(N / 2), so no row of R
+# reads x_b alone, every bound is 0 and every x_b is screened
+@pytest.mark.parametrize("m, n, c", [(4, 3, C4), (6, 5, C4), (3, 1, C4), (2, 1, C16), (4, 2, C64),
+                                     (1, 3, C4), (2, 4, C4), (2, 3, C16)])
 def test_ml_matches_exhaustive_oracle_odd_and_edge_sizes(m, n, c):
     rng = np.random.default_rng(10 * m + n)
     for _ in range(20):
@@ -165,6 +168,25 @@ def test_stacked_ml_matches_exhaustive_oracle_in_small_blocks(monkeypatch, scree
         assert np.array_equal(got[t], _exhaustive_ml(s_hat[t], H[t], C16)), t
 
 
+@pytest.mark.parametrize("m, n, c", [(6, 4, C4), (5, 3, C16)])
+def test_stacked_ml_matches_exhaustive_oracle_when_every_x_b_survives(m, n, c):
+    # zero x_b columns give every x_b the same bound, and noise at 100x the
+    # signal leaves the bounds' spread far below the best metric: either way
+    # every x_b is screened
+    rng = np.random.default_rng(46)
+    t = 6
+    H = np.sqrt(0.5 / n) * (rng.standard_normal((t, m, n)) + 1j * rng.standard_normal((t, m, n)))
+    x = c.points[rng.integers(0, c.order, (t, n))]
+    w = rng.standard_normal((t, m)) + 1j * rng.standard_normal((t, m))
+    zero_b = H.copy()
+    zero_b[:, :, (n + 1) // 2 :] = 0.0
+    for H, scale in ((zero_b, 0.3), (H, 100.0)):
+        s_hat = np.einsum("tij,tj->ti", H, x) + scale * w
+        got = ml_linear_stacked(s_hat, H, c)
+        for k in range(t):
+            assert np.array_equal(got[k], _exhaustive_ml(s_hat[k], H[k], c)), k
+
+
 @pytest.mark.parametrize("lattice", [16, 100, 1 << 16])
 def test_stacked_single_shot_matches_one_trial_in_small_blocks(monkeypatch, lattice):
     # a lattice above _LATTICE is scored one trial at a time in blocks
@@ -198,6 +220,23 @@ def test_ml_64qam_8x4_noiseless_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert np.array_equal(x_hat, x)
+    assert peak < 32 * 2**20
+
+
+def test_ml_64qam_8x4_every_x_b_surviving_in_bounded_memory():
+    # zero x_b columns: all 2^12 x_b survive, and each ties with the others
+    # at the true x_a, so the lowest-index x_b (point 0 for both users) wins
+    rng = np.random.default_rng(8)
+    H, _ = np.linalg.qr(rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
+    H[:, 2:] = 0.0
+    x = C64.points[rng.integers(0, 64, 4)]
+    tracemalloc.start()
+    try:
+        x_hat = ml_linear(H @ x, H, C64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(x_hat, np.concatenate([x[:2], C64.points[[0, 0]]]))
     assert peak < 32 * 2**20
 
 
@@ -255,6 +294,31 @@ def test_zf_underdetermined_and_singular():
     rank1 = np.ones((4, 2), dtype=complex)
     with pytest.raises(IllConditionedChannelError):
         zf_linear(np.zeros(4, dtype=complex), rank1, C4)
+
+
+def _conditioned_channel(rng, m, n, cond):
+    """An m x n channel whose singular values run log-spaced from 1 to 1/cond."""
+    q1, _ = np.linalg.qr(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (q1 * np.logspace(0, -np.log10(cond), n)) @ q2.conj().T
+
+
+@pytest.mark.parametrize("cond", [1e8, 1e9, 1e11])
+def test_zf_exact_on_ill_conditioned_channels_the_guard_admits(cond):
+    # the normal equations square cond(H): at 1e9 most of these came back wrong
+    rng = np.random.default_rng(int(np.log10(cond)))
+    for _ in range(200):
+        H = _conditioned_channel(rng, 16, 8, cond)
+        x = C4.points[rng.integers(0, 4, 8)]
+        assert np.array_equal(zf_linear(H @ x, H, C4), x)
+
+
+def test_zf_refuses_condition_beyond_the_guard():
+    rng = np.random.default_rng(13)
+    for cond in (1e13, 1e15):
+        H = _conditioned_channel(rng, 16, 8, cond)
+        with pytest.raises(IllConditionedChannelError):
+            zf_linear(H @ C4.points[rng.integers(0, 4, 8)], H, C4)
 
 
 def test_zf_metric_never_beats_ml():
