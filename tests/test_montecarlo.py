@@ -2,7 +2,12 @@ import functools
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,6 +403,7 @@ def test_pool_workers_use_one_blas_thread():
         pytest.skip("this process has no OpenBLAS with a thread-count control")
     np.ones((256, 256)) @ np.ones((256, 256))  # the parent's BLAS team is running
     _barrier = multiprocessing.Barrier(4)
+    montecarlo._close_pool()  # the workers must fork after _barrier is set
     with montecarlo._Workers(3) as pool:
         seen = {pid: (blas, tasks) for pid, blas, tasks in pool.map(_worker_threads, None, 0, 4)}
     here = seen.pop(os.getpid())
@@ -419,8 +425,25 @@ def test_worker_exception_reaches_caller():
         # every reply was drained: a later batch gets its own results, in order
         chunks = pool.map(_trial_indices, False, 10, 50)
         assert [t for chunk in chunks for t in chunk] == list(range(10, 50))
-        # guided chunks: a sixth of what is left (three processes), at least one
-        assert len(chunks[0]) == 40 // 6 and len(chunks[-1]) == 1
+        # two chunks per process (three processes): ceil(40 / 6) trials, the last the rest
+        assert [len(chunk) for chunk in chunks] == [7] * 5 + [5]
+
+
+def test_a_batch_left_with_unread_replies_closes_the_pool():
+    def interrupted():
+        raise KeyboardInterrupt
+
+    with montecarlo._Workers(1) as run:
+        pool = run.pool
+        pool.conns[0].recv = interrupted  # the caller is interrupted before the reply
+        with pytest.raises(KeyboardInterrupt):
+            run.map(_trial_indices, False, 0, 8)
+        assert pool.conns == [] and not pool.alive()
+    # the worker's reply was never read: the next run must not meet it
+    with montecarlo._Workers(1) as run:
+        assert run.pool is not pool
+        chunks = run.map(_trial_indices, False, 0, 8)
+        assert [t for chunk in chunks for t in chunk] == list(range(8))
 
 
 def test_parent_blas_threads_untouched_by_pool():
@@ -448,6 +471,134 @@ def test_parallel_without_blas_control_matches_serial(monkeypatch):
     )
     assert run_ber_sweep(replace(base, workers=2)) == run_ber_sweep(base)
     assert montecarlo.run_environment(2)["blas_threads_per_worker"] is None
+
+
+@pytest.mark.parametrize("start, stop, width", [
+    (0, 32, 2), (10, 50, 3), (0, 256, 2), (0, 256, 3), (256, 300, 8), (0, 1, 4), (5, 8, 8),
+])
+def test_chunks_cover_the_batch_in_order_and_none_is_a_sliver(start, stop, width):
+    counter = multiprocessing.Value("q", start)
+    claimed = montecarlo._take(counter, lambda arg, a, b, lo, hi: hi, None, start, stop, width)
+    bounds = [start, *(claimed[lo] for lo in sorted(claimed))]
+    assert sorted(claimed) == bounds[:-1] and bounds[-1] == stop  # contiguous, in order
+    sizes = np.diff(bounds)
+    floor = math.ceil((stop - start) / (montecarlo._CHUNKS_PER_PROCESS * width))
+    assert all(sizes[:-1] == floor) and 0 < sizes[-1] <= floor
+    assert len(sizes) <= montecarlo._CHUNKS_PER_PROCESS * width
+
+
+_POOL_SWEEP = ExperimentConfig(
+    m=2, n=2, scheme="rf_baseline", detector="zf",
+    snr_db_list=(5.0,), trials=300, master_seed=9, workers=2,
+)
+
+
+def test_runs_of_one_width_reuse_the_pool():
+    first = run_ber_sweep(_POOL_SWEEP)
+    pids = montecarlo._pool.pids
+    assert run_ber_sweep(_POOL_SWEEP) == first
+    assert montecarlo._pool.pids == pids and montecarlo._pool.alive()
+
+
+def test_a_run_of_another_width_replaces_the_pool():
+    run_ber_sweep(_POOL_SWEEP)
+    old = montecarlo._pool.pids
+    run_ber_sweep(replace(_POOL_SWEEP, workers=3))
+    assert len(montecarlo._pool.pids) == 2 and not set(old) & set(montecarlo._pool.pids)
+    for pid in old:  # exited and reaped by the pool's close
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_a_dead_worker_is_replaced_and_counts_hold():
+    serial = run_ber_sweep(replace(_POOL_SWEEP, workers=1))
+    run_ber_sweep(_POOL_SWEEP)
+    [pid] = montecarlo._pool.pids
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    # wait until it has exited, and leave it for the pool to reap
+    while os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+        assert time.monotonic() < deadline, f"worker {pid} survived SIGKILL"
+        time.sleep(0.01)
+    assert run_ber_sweep(_POOL_SWEEP) == serial
+    assert montecarlo._pool.pids != [pid] and montecarlo._pool.alive()
+
+
+# a fresh interpreter's parallel sweep, which prints its workers' pids
+_SWEEP_SCRIPT = """
+import os, sys
+from ramimo import montecarlo
+from ramimo.montecarlo import ExperimentConfig, run_ber_sweep
+cfg = ExperimentConfig(m=2, n=2, scheme="rf_baseline", detector="zf",
+                       snr_db_list=(5.0,), trials=300, master_seed=9, workers=2)
+first = run_ber_sweep(cfg)
+print(*montecarlo._pool.pids, flush=True)
+"""
+
+
+def _interpreter(code: str) -> subprocess.Popen:
+    """A fresh Python that runs code on the ramimo under test."""
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.Popen([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def _exited(pid: int) -> bool:
+    """Whether process pid has exited (a zombie not yet reaped counts)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def _assert_exit(pids, seconds: float = 30.0) -> None:
+    deadline = time.monotonic() + seconds
+    try:
+        while not all(map(_exited, pids)):
+            assert time.monotonic() < deadline, f"workers {pids} outlived their caller"
+            time.sleep(0.02)
+    finally:
+        for pid in pids:  # leave no worker running, whatever the test found
+            if not _exited(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+def test_no_worker_outlives_its_interpreter():
+    proc = _interpreter(_SWEEP_SCRIPT)
+    pids = [int(p) for p in proc.stdout.readline().split()]
+    proc.wait(timeout=120)
+    _assert_exit(pids)
+    out, err = proc.communicate(timeout=30)
+    assert proc.returncode == 0 and len(pids) == 1 and err == "", err
+
+
+def test_workers_exit_quietly_when_their_caller_is_killed():
+    proc = _interpreter(_SWEEP_SCRIPT + "import time\ntime.sleep(120)\n")
+    pids = [int(p) for p in proc.stdout.readline().split()]
+    proc.kill()
+    proc.wait(timeout=30)
+    _assert_exit(pids)
+    _, err = proc.communicate(timeout=30)
+    assert len(pids) == 1 and err == "", err  # no traceback from a worker
+
+
+def test_a_forked_child_leaves_its_parents_pool_alone():
+    proc = _interpreter(_SWEEP_SCRIPT + """
+pids = montecarlo._pool.pids
+child = os.fork()
+if child == 0:  # a run of its own, then a normal exit that runs the exit hooks
+    ok = run_ber_sweep(cfg) == first and montecarlo._pool.pids != pids
+    sys.exit(0 if ok else 3)
+assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
+assert montecarlo._pool.pids == pids and montecarlo._pool.alive()
+assert run_ber_sweep(cfg) == first
+print("parent pool intact")
+""")
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0 and out.splitlines()[-1] == "parent pool intact", err
+    assert err == ""
 
 
 def test_variance_sweep_serial_parallel_identical():
