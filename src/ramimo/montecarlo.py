@@ -17,26 +17,20 @@ reconstruction, ML detection, demapping and bit counting of a BER chunk (ZF
 still solves one trial at a time inside it). A stacked value is bit for bit
 what its trial gives alone.
 
-A run with W workers runs trials on the calling process and W - 1 forked
-worker processes. The workers outlive the run: later runs with the same W
-reuse them, and they exit with the process that forked them. Every worker
-runs OpenBLAS on one thread, and so does the caller while a parallel run
-lasts, so W processes keep W cores busy instead of W times OpenBLAS's own
-thread count; a serial run keeps the process's BLAS threads.
+A run with W workers forks W - 1 worker processes, and the calling process
+runs trials beside them. While the workers exist, all W processes run
+OpenBLAS on one thread, so they keep W cores busy instead of W times
+OpenBLAS's own thread count; a serial run keeps the process's BLAS threads.
 """
 
 from __future__ import annotations
 
-import atexit
 import ctypes
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import platform
-import signal
-import sys
-import threading
-import traceback
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -538,199 +532,109 @@ def _take(counter, block, arg, start: int, stop: int, width: int) -> dict:
 def _serve(conn, counter, width: int) -> None:
     """Worker loop: for each (block, arg, start, stop) that arrives on conn,
     claim chunks with _take and send back their results, or the exception
-    that stopped it, until None arrives or the caller's end of the pipe
-    closes."""
+    that stopped it, until None arrives. A worker whose caller has died, or
+    that Ctrl-C reaches between batches, exits without a word."""
     _one_blas_thread()
+    # a forked worker may hold the caller's end of its own pipe, so the pipe
+    # need not close when the caller dies; the caller's sentinel does
+    watched = [conn, multiprocessing.parent_process().sentinel]
     try:
-        for block, arg, start, stop in iter(conn.recv, None):
+        while conn in multiprocessing.connection.wait(watched):
+            job = conn.recv()
+            if job is None:
+                return
             try:
-                reply = _take(counter, block, arg, start, stop, width)
+                reply = _take(counter, *job, width)
             except BaseException as exc:  # raised again in the calling process
                 reply = exc
             conn.send(reply)
-    except (EOFError, OSError):  # the caller is gone: nobody is left to serve
+    except (EOFError, OSError, KeyboardInterrupt):  # nobody is left to serve
         pass
 
 
-def _worker(parent_ends, conn, counter, width: int) -> None:
-    """Body of a forked worker: serve, then leave without running the exit
-    hooks or flushing the buffers it inherited from the caller."""
-    status = 0
-    try:
-        # Ctrl-C reaches the whole process group, idle workers included; the caller handles it
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        # hold no caller end of any pipe, so each pipe closes when the caller dies
-        for end in parent_ends:
-            end.close()
-        _serve(conn, counter, width)
-    except BaseException:
-        traceback.print_exc()
-        sys.stderr.flush()
-        status = 1
-    finally:
-        os._exit(status)
-
-
-class _Pool:
-    """width - 1 forked worker processes that serve parallel runs beside the
-    process that forked them, until it exits or closes the pool.
-
-    Workers run the module code and globals as they were at the fork.
-    """
-
-    def __init__(self, width: int):
-        self.width = width
-        self.owner = os.getpid()
-        self.runs = 0  # parallel runs served, the one that forked it included
-        self.conns = []
-        self.pids = []
-        self.counter = multiprocessing.Value("q", 0)
-        try:
-            for _ in range(width - 1):
-                conn, theirs = multiprocessing.Pipe()
-                self.conns.append(conn)
-                pid = os.fork()
-                if pid == 0:
-                    _worker(self.conns, theirs, self.counter, width)
-                theirs.close()
-                self.pids.append(pid)
-        except BaseException:
-            self.close()
-            raise
-
-    def alive(self) -> bool:
-        """Whether the pool is open and every worker still runs; a dead one
-        is reaped here."""
-        try:
-            return bool(self.pids) and all(os.waitpid(pid, os.WNOHANG)[0] == 0 for pid in self.pids)
-        except ChildProcessError:  # reaped already
-            return False
-
-    def map(self, block, arg, start: int, stop: int) -> list:
-        """block(arg, start, stop, lo, hi) over the chunks lo..hi-1 that the
-        processes claimed from the batch start..stop-1, in trial order."""
-        drained = False
-        try:
-            self.counter.value = start
-            for conn in self.conns:
-                conn.send((block, arg, start, stop))
-            try:
-                done = _take(self.counter, block, arg, start, stop, self.width)
-            finally:
-                replies = [conn.recv() for conn in self.conns]
-                drained = True
-        finally:
-            # a dead worker or an interrupt left replies unread: no later run may read them
-            if not drained:
-                self.close()
-        for reply in replies:
-            if isinstance(reply, BaseException):
-                raise reply
-            done.update(reply)
-        return [done[lo] for lo in sorted(done)]
-
-    def close(self) -> None:
-        """Send every worker None and wait for it to exit."""
-        for conn in self.conns:
-            try:
-                conn.send(None)
-            except OSError:  # the worker is gone already
-                pass
-            conn.close()
-        for pid in self.pids:
-            try:
-                os.waitpid(pid, 0)
-            except ChildProcessError:  # reaped already
-                pass
-        self.conns, self.pids = [], []
-
-
-_pool: _Pool | None = None
-_pool_lock = threading.Lock()  # one parallel run at a time uses the pool
-
-
-def _owned_pool() -> _Pool | None:
-    """This process's pool; None when it has none, or only the pool of the
-    process that forked it, which it neither uses nor closes."""
-    return _pool if _pool is not None and _pool.owner == os.getpid() else None
-
-
-def _close_pool() -> None:
-    """Close this process's pool, if it has one."""
-    global _pool
-    if _owned_pool() is not None:
-        _pool.close()
-    _pool = None
-
-
-atexit.register(_close_pool)
-
-
-def _live_pool(width: int) -> _Pool:
-    """This process's pool of width processes: the live one, or a new one
-    forked in place of one of another width or with a dead worker."""
-    global _pool
-    pool = _owned_pool()
-    if pool is None or pool.width != width or not pool.alive():
-        _close_pool()
-        _pool = pool = _Pool(width)
-    return pool
-
-
 class _Workers:
-    """The processes of one run, for the span of a `with`: the caller alone
-    (count 0), or the caller beside this process's pool of count workers.
+    """Worker processes beside the calling process, for the span of a `with`.
 
-    `map` runs a batch of trials on them together. Each process claims the
-    next chunk of trials from a shared counter when it is free, so a process
-    that runs slower, such as one whose core is busy, takes fewer trials
-    instead of holding the others up. Results are keyed by the chunk's first
-    trial and returned in trial order, so they do not depend on which
-    process ran what. While a parallel run lasts, the caller runs OpenBLAS
-    on one thread, as the workers always do; it gets its own thread count
-    back on exit. With no workers, `map` runs the batch as one chunk.
+    `map` runs a batch of trials on the calling process and the workers
+    together. Each process claims the next chunk of trials from a shared
+    counter when it is free, so a process that runs slower, such as a worker
+    still warming up or one whose core is busy, takes fewer trials instead of
+    holding the others up. Results are keyed by the chunk's first trial and
+    returned in trial order, so they do not depend on which process ran
+    what. While workers exist, all W processes run OpenBLAS on one thread;
+    the caller gets its own thread count back on exit. With no workers,
+    `map` runs the batch as one chunk.
     """
 
     def __init__(self, count: int):
         self.count = count
-        self.pool = None
+        self.conns = []
+        self.procs = []
         self.blas_threads = None
 
     def __enter__(self) -> "_Workers":
         if self.count:
-            _pool_lock.acquire()
+            self.blas_threads = _one_blas_thread()
+            ctx = multiprocessing.get_context()
+            self.counter = ctx.Value("q", 0)
+            width = self.count + 1
             try:
-                self.blas_threads = _one_blas_thread()  # before any fork
-                self.pool = _live_pool(self.count + 1)
+                for _ in range(self.count):
+                    conn, theirs = ctx.Pipe()
+                    self.conns.append(conn)
+                    proc = ctx.Process(
+                        target=_serve, args=(theirs, self.counter, width), daemon=True
+                    )
+                    proc.start()
+                    theirs.close()
+                    self.procs.append(proc)
             except BaseException:
                 self.__exit__()
                 raise
-            self.pool.runs += 1
         return self
 
     def map(self, block, arg, start: int, stop: int) -> list:
         """block(arg, start, stop, lo, hi) over chunks lo..hi-1 that cover the
         batch start..stop-1, in trial order: the whole batch as one chunk
         here, or the chunks that the processes claimed."""
-        if self.pool is None:
+        if not self.conns:
             return [block(arg, start, stop, start, stop)]
-        return self.pool.map(block, arg, start, stop)
+        self.counter.value = start
+        for conn in self.conns:
+            conn.send((block, arg, start, stop))
+        try:
+            done = _take(self.counter, block, arg, start, stop, self.count + 1)
+        except BaseException:
+            # an interrupt or a failed chunk: the workers stop after the chunks they hold
+            with self.counter.get_lock():
+                self.counter.value = stop
+            raise
+        finally:
+            replies = [conn.recv() for conn in self.conns]  # every pipe drained
+        for reply in replies:
+            if isinstance(reply, BaseException):
+                raise reply
+            done.update(reply)
+        return [done[lo] for lo in sorted(done)]
 
     def __exit__(self, *exc_info) -> None:
-        if self.count:
-            if self.blas_threads not in (None, 1):
-                _set_blas_threads(_blas_threads(), self.blas_threads)
-            _pool_lock.release()
+        for conn in self.conns:
+            try:
+                conn.send(None)
+            except OSError:  # the worker is gone already
+                pass
+            conn.close()
+        for proc in self.procs:
+            proc.join()
+        if self.blas_threads not in (None, 1):
+            _set_blas_threads(_blas_threads(), self.blas_threads)
 
 
 def run_environment(workers: int) -> dict:
     """Interpreter, numpy/BLAS build and pool settings of a run, for its manifest.
 
     blas_threads_per_worker is 1 when pool workers are capped, the process's
-    own OpenBLAS thread count for a serial run, and None when unknown. pool
-    is "forked" when the last parallel run forked this process's pool of
-    `workers` processes, "reused" when it found that pool live, and None for
-    a serial run.
+    own OpenBLAS thread count for a serial run, and None when unknown.
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
@@ -741,19 +645,13 @@ def run_environment(workers: int) -> dict:
         per_worker = None
     else:
         per_worker = 1 if workers > 1 else api.get()
-    pool = _owned_pool() if workers > 1 else None
-    if pool is not None and pool.width == workers:
-        pool_use = "forked" if pool.runs == 1 else "reused"
-    else:
-        pool_use = None
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas,
-        "start_method": "fork",
+        "start_method": multiprocessing.get_start_method(),
         "workers": workers,
         "blas_threads_per_worker": per_worker,
-        "pool": pool_use,
     }
 
 

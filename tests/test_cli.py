@@ -4,7 +4,6 @@ import os
 import numpy as np
 import pytest
 
-from ramimo import montecarlo
 from ramimo.cli import main
 
 BER_ARGS = [
@@ -57,7 +56,7 @@ def test_manifest_records_run_environment(tmp_path):
     data = json.loads((out1 / "ber.manifest.json").read_text())
     env = data["env"]
     assert set(env) == {
-        "python", "numpy", "blas", "start_method", "workers", "blas_threads_per_worker", "pool",
+        "python", "numpy", "blas", "start_method", "workers", "blas_threads_per_worker",
     }
     assert env["numpy"] == np.__version__
     assert env["workers"] == 2
@@ -68,15 +67,6 @@ def test_manifest_records_run_environment(tmp_path):
                  "--out", str(out2)]) == 0
     assert (out1 / "ber.csv").read_bytes() == (out2 / "ber.csv").read_bytes()
     assert json.loads((out2 / "ber.manifest.json").read_text())["env"]["workers"] == 1
-
-
-def test_manifest_records_whether_the_run_forked_its_pool(tmp_path):
-    montecarlo._close_pool()
-    pools = []
-    for out, threads in (("a", "2"), ("b", "2"), ("c", "1")):
-        assert main(BER_ARGS + ["--out", str(tmp_path / out), "--threads", threads]) == 0
-        pools.append(json.loads((tmp_path / out / "ber.manifest.json").read_text())["env"]["pool"])
-    assert pools == ["forked", "reused", None]
 
 
 def test_default_threads_is_usable_cores(tmp_path):

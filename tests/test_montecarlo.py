@@ -403,7 +403,6 @@ def test_pool_workers_use_one_blas_thread():
         pytest.skip("this process has no OpenBLAS with a thread-count control")
     np.ones((256, 256)) @ np.ones((256, 256))  # the parent's BLAS team is running
     _barrier = multiprocessing.Barrier(4)
-    montecarlo._close_pool()  # the workers must fork after _barrier is set
     with montecarlo._Workers(3) as pool:
         seen = {pid: (blas, tasks) for pid, blas, tasks in pool.map(_worker_threads, None, 0, 4)}
     here = seen.pop(os.getpid())
@@ -427,23 +426,6 @@ def test_worker_exception_reaches_caller():
         assert [t for chunk in chunks for t in chunk] == list(range(10, 50))
         # two chunks per process (three processes): ceil(40 / 6) trials, the last the rest
         assert [len(chunk) for chunk in chunks] == [7] * 5 + [5]
-
-
-def test_a_batch_left_with_unread_replies_closes_the_pool():
-    def interrupted():
-        raise KeyboardInterrupt
-
-    with montecarlo._Workers(1) as run:
-        pool = run.pool
-        pool.conns[0].recv = interrupted  # the caller is interrupted before the reply
-        with pytest.raises(KeyboardInterrupt):
-            run.map(_trial_indices, False, 0, 8)
-        assert pool.conns == [] and not pool.alive()
-    # the worker's reply was never read: the next run must not meet it
-    with montecarlo._Workers(1) as run:
-        assert run.pool is not pool
-        chunks = run.map(_trial_indices, False, 0, 8)
-        assert [t for chunk in chunks for t in chunk] == list(range(8))
 
 
 def test_parent_blas_threads_untouched_by_pool():
@@ -487,61 +469,29 @@ def test_chunks_cover_the_batch_in_order_and_none_is_a_sliver(start, stop, width
     assert len(sizes) <= montecarlo._CHUNKS_PER_PROCESS * width
 
 
-_POOL_SWEEP = ExperimentConfig(
-    m=2, n=2, scheme="rf_baseline", detector="zf",
-    snr_db_list=(5.0,), trials=300, master_seed=9, workers=2,
-)
-
-
-def test_runs_of_one_width_reuse_the_pool():
-    first = run_ber_sweep(_POOL_SWEEP)
-    pids = montecarlo._pool.pids
-    assert run_ber_sweep(_POOL_SWEEP) == first
-    assert montecarlo._pool.pids == pids and montecarlo._pool.alive()
-
-
-def test_a_run_of_another_width_replaces_the_pool():
-    run_ber_sweep(_POOL_SWEEP)
-    old = montecarlo._pool.pids
-    run_ber_sweep(replace(_POOL_SWEEP, workers=3))
-    assert len(montecarlo._pool.pids) == 2 and not set(old) & set(montecarlo._pool.pids)
-    for pid in old:  # exited and reaped by the pool's close
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
-def test_a_dead_worker_is_replaced_and_counts_hold():
-    serial = run_ber_sweep(replace(_POOL_SWEEP, workers=1))
-    run_ber_sweep(_POOL_SWEEP)
-    [pid] = montecarlo._pool.pids
-    os.kill(pid, signal.SIGKILL)
-    deadline = time.monotonic() + 30
-    # wait until it has exited, and leave it for the pool to reap
-    while os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
-        assert time.monotonic() < deadline, f"worker {pid} survived SIGKILL"
-        time.sleep(0.01)
-    assert run_ber_sweep(_POOL_SWEEP) == serial
-    assert montecarlo._pool.pids != [pid] and montecarlo._pool.alive()
-
-
-# a fresh interpreter's parallel sweep, which prints its workers' pids
-_SWEEP_SCRIPT = """
-import os, sys
+# A fresh interpreter, in a session of its own, opens two processes (one
+# worker) and prints the worker's pid; the test appends what the run does.
+_RUN_SCRIPT = """
+import os, sys, time
 from ramimo import montecarlo
-from ramimo.montecarlo import ExperimentConfig, run_ber_sweep
-cfg = ExperimentConfig(m=2, n=2, scheme="rf_baseline", detector="zf",
-                       snr_db_list=(5.0,), trials=300, master_seed=9, workers=2)
-first = run_ber_sweep(cfg)
-print(*montecarlo._pool.pids, flush=True)
+
+def slow(seconds, start, stop, lo, hi):
+    print("chunk", os.getpid(), flush=True)
+    time.sleep(seconds * (hi - lo))
+    return lo
+
+run = montecarlo._Workers(1).__enter__()
+print(*(proc.pid for proc in run.procs), flush=True)
 """
 
 
 def _interpreter(code: str) -> subprocess.Popen:
-    """A fresh Python that runs code on the ramimo under test."""
+    """A fresh Python, in a new session, that runs code on the ramimo under test."""
     src = str(Path(montecarlo.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.Popen([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
 
 
 def _exited(pid: int) -> bool:
@@ -565,17 +515,21 @@ def _assert_exit(pids, seconds: float = 30.0) -> None:
                 os.kill(pid, signal.SIGKILL)
 
 
-def test_no_worker_outlives_its_interpreter():
-    proc = _interpreter(_SWEEP_SCRIPT)
-    pids = [int(p) for p in proc.stdout.readline().split()]
-    proc.wait(timeout=120)
-    _assert_exit(pids)
-    out, err = proc.communicate(timeout=30)
+def test_no_worker_outlives_its_run():
+    with _interpreter(_RUN_SCRIPT + """
+assert run.map(slow, 0.0, 0, 64) == list(range(0, 64, 16))
+run.__exit__()
+print(run.procs[0].exitcode, flush=True)
+""") as proc:
+        pids = [int(p) for p in proc.stdout.readline().split()]
+        out, err = proc.stdout.read(), proc.stderr.read()  # communicate() would skip buffered lines
+        proc.wait(timeout=30)
     assert proc.returncode == 0 and len(pids) == 1 and err == "", err
+    assert out.splitlines()[-1] == "0"  # the worker exited, and cleanly, with its run
 
 
 def test_workers_exit_quietly_when_their_caller_is_killed():
-    proc = _interpreter(_SWEEP_SCRIPT + "import time\ntime.sleep(120)\n")
+    proc = _interpreter(_RUN_SCRIPT + "time.sleep(120)\n")
     pids = [int(p) for p in proc.stdout.readline().split()]
     proc.kill()
     proc.wait(timeout=30)
@@ -584,21 +538,42 @@ def test_workers_exit_quietly_when_their_caller_is_killed():
     assert len(pids) == 1 and err == "", err  # no traceback from a worker
 
 
-def test_a_forked_child_leaves_its_parents_pool_alone():
-    proc = _interpreter(_SWEEP_SCRIPT + """
-pids = montecarlo._pool.pids
-child = os.fork()
-if child == 0:  # a run of its own, then a normal exit that runs the exit hooks
-    ok = run_ber_sweep(cfg) == first and montecarlo._pool.pids != pids
-    sys.exit(0 if ok else 3)
-assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
-assert montecarlo._pool.pids == pids and montecarlo._pool.alive()
-assert run_ber_sweep(cfg) == first
-print("parent pool intact")
-""")
-    out, err = proc.communicate(timeout=120)
-    assert proc.returncode == 0 and out.splitlines()[-1] == "parent pool intact", err
-    assert err == ""
+# 64 trials of 0.25 s at width 2: four chunks of 4 s, 8 s for the batch
+_INTERRUPTED_BATCH = _RUN_SCRIPT + """
+try:
+    run.map(slow, 0.25, 0, 64)
+except KeyboardInterrupt:
+    print("interrupted", flush=True)
+run.__exit__()
+"""
+
+
+@pytest.mark.parametrize("group, bound", [(True, 3.0), (False, 8.0)])
+def test_an_interrupted_batch_returns_promptly(group, bound):
+    """Ctrl-C reaches the caller and its worker, which both stop at once; a
+    SIGINT sent to the caller alone waits out the worker's current chunk
+    (4 s), not the rest of the batch that it would otherwise run alone."""
+    proc = _interpreter(_INTERRUPTED_BATCH)
+    pids = [int(p) for p in proc.stdout.readline().split()]
+    try:
+        running = set()
+        while len(running) < 2:  # both processes hold a chunk: the batch is under way
+            running.add(proc.stdout.readline())
+        sent = time.monotonic()
+        if group:
+            os.killpg(proc.pid, signal.SIGINT)
+        else:
+            os.kill(proc.pid, signal.SIGINT)
+        assert proc.stdout.readline() == "interrupted\n"
+        proc.wait(timeout=30)
+        took = time.monotonic() - sent
+        _assert_exit(pids)
+        err = proc.stderr.read()
+        assert proc.returncode == 0 and err == "", err
+        assert took < bound, f"{took:.1f} s to stop"
+    finally:
+        proc.kill()
+        proc.communicate()
 
 
 def test_variance_sweep_serial_parallel_identical():
