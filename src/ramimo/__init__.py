@@ -18,7 +18,6 @@ from .reconstruct import (
     SingularOffsetError,
     effective_observations,
     reconstruct_optimal,
-    build_measurement_matrix,
     reconstruct_general,
     predicted_trace,
     predicted_mse,

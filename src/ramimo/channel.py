@@ -115,8 +115,9 @@ def trial_keys(seed: int, start: int, stop: int, roles) -> np.ndarray:
     return np.stack((out[0] | out[1] << 32, out[2] | out[3] << 32), axis=-1)
 
 
-_ZEROS = np.zeros(4, dtype=np.uint64)
-_ZEROS.flags.writeable = False
+# Philox's counter and buffer words at the head of a stream; the state setter
+# reads Python ints faster than numpy scalars
+_ZEROS = (0, 0, 0, 0)
 
 
 @lru_cache(maxsize=1)
@@ -125,9 +126,10 @@ def _keyed_generator() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(0))
 
 
-def keyed_rng(key: np.ndarray) -> np.random.Generator:
+def keyed_rng(key) -> np.random.Generator:
     """This process's shared generator, restarted at the head of the stream
-    that the Philox `key` (a row of `trial_keys`) names.
+    that the Philox `key` (a row of `trial_keys`) names. The row may also be
+    given as its `tolist()`, whose Python ints the state setter reads faster.
 
     Every call restarts the same generator, so draw from one stream fully
     before asking for the next.

@@ -26,6 +26,16 @@ def received(H: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(H, x[..., None])[..., 0]
 
 
+def rotate(x: np.ndarray, phi: float) -> np.ndarray:
+    """The symbols slot 2 carries: x * exp(j*phi)."""
+    return np.asarray(x) * np.exp(1j * phi)
+
+
+def readout(s: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One slot's readout |s + v + r| of a received signal s = Hx, element-wise."""
+    return np.abs(s + v + r)
+
+
 def observe_single(H: np.ndarray, x: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.ndarray:
     """One slot's readout |Hx + v + r|, one nonnegative value per receiver.
 
@@ -34,7 +44,7 @@ def observe_single(H: np.ndarray, x: np.ndarray, r: np.ndarray, v: np.ndarray) -
     H = np.asarray(H)
     x, r, v = (np.asarray(a) for a in (x, r, v))
     _check_shapes(H, x, r, v)
-    return np.abs(received(H, x) + v + r)
+    return readout(received(H, x), r, v)
 
 
 def observe_prss(
@@ -50,5 +60,4 @@ def observe_prss(
     The channel and reference are held fixed across both slots; only the
     noise differs.  Slot 2 carries x * exp(j*phi).
     """
-    rotated = np.asarray(x) * np.exp(1j * phi)
-    return observe_single(H, x, r, v1), observe_single(H, rotated, r, v2)
+    return observe_single(H, x, r, v1), observe_single(H, rotate(x, phi), r, v2)

@@ -12,7 +12,8 @@ Each process derives a batch's stream keys once (`trial_keys`) and draws a
 trial's streams from one restarted generator (`keyed_rng`), each into its
 row of a chunk buffer per role. Every other step runs stacked, a chunk of
 trials per numpy call: the draws' elementwise steps; the frontend,
-reconstruction and squared error of a variance chunk; the frontend,
+reconstruction and squared error of a variance chunk, whose points compute
+what they share once (`_Shared`); the frontend,
 reconstruction, ML detection, demapping and bit counting of a BER chunk (ZF
 still solves one trial at a time inside it). A stacked value is bit for bit
 what its trial gives alone.
@@ -25,14 +26,16 @@ OpenBLAS's own thread count; a serial run keeps the process's BLAS threads.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 import multiprocessing
 import multiprocessing.connection
 import os
 import platform
+import signal
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -46,8 +49,9 @@ from .channel import draw_channel, draw_noise, draw_reference, stream_rng  # noq
 from .constellation import demap, make_qam, modulate
 from .detect import DEFAULT_SEARCH_BUDGET, ml_linear_stacked, ml_single_shot_stacked, zf_linear
 from .detect import ml_linear, ml_single_shot  # noqa: F401  (patched by perfbench's tracer)
-from .frontend import observe_prss, observe_single, received
-from .reconstruct import SIN_PHI_TOL, reconstruct_general
+from .frontend import observe_single, readout, received, rotate
+from .frontend import observe_prss  # noqa: F401  (patched by perfbench's tracer)
+from .reconstruct import SIN_PHI_TOL, reconstruct_general, reference_terms
 from .reconstruct import reconstruct_optimal  # noqa: F401  (patched by perfbench's tracer)
 
 SCHEMES = ("prss", "single_shot", "rf_baseline")
@@ -289,7 +293,7 @@ def _draws(cfg: ExperimentConfig, keys: np.ndarray, roles: tuple[str, ...]) -> _
     c = _alphabet(cfg.order)
     trials, m, n = len(keys), cfg.m, cfg.n
     out = dict.fromkeys(STREAM_IDS)
-    for role, column in zip(roles, keys.transpose(1, 0, 2)):
+    for role, column in zip(roles, keys.transpose(1, 0, 2).tolist()):
         if role == "bits":
             buf = np.empty((trials, n * c.bits_per_symbol), dtype=np.int64)
             for row, key in zip(buf, column):
@@ -314,13 +318,32 @@ def _draws(cfg: ExperimentConfig, keys: np.ndarray, roles: tuple[str, ...]) -> _
     )
 
 
-def _recover(draws: _Draws, n: int, rsr_db: float, sigma_v_sq: float, phi: float):
+class _Shared:
+    """What the prss points of a chunk of draws share, each computed once, on
+    the first point that reads it: s = Hx, H(x e^{j phi}) per offset, the
+    reference terms per strength and the scaled noise per variance.
+
+    Every piece is computed by the same operations on the same operands as
+    when a point computes it alone, so each point keeps its bits.
+    """
+
+    def __init__(self, draws: _Draws, n: int):
+        self.s = received(draws.H, draws.x)
+        self.rotated = cache(lambda phi: received(draws.H, rotate(draws.x, phi)))
+        self.reference = cache(
+            lambda rsr_db: reference_terms(reference_magnitude(n, rsr_db) * draws.e))
+        self.noise = cache(lambda sigma_v_sq: tuple(
+            noise_scale(sigma_v_sq) * w for w in (draws.w1, draws.w2)))
+
+
+def _recover(shared: _Shared, rsr_db: float, sigma_v_sq: float, phi: float):
     """Stacked s_hat of a chunk's prss trials at one reference strength,
-    noise variance and offset; bit for bit what each trial gives on its own."""
-    r = reference_magnitude(n, rsr_db) * draws.e
-    scale = noise_scale(sigma_v_sq)
-    z = observe_prss(draws.H, draws.x, r, scale * draws.w1, scale * draws.w2, phi)
-    return reconstruct_general(z, r, phi)
+    noise variance and offset: `observe_prss`, then `reconstruct_general`,
+    on the terms in shared. Bit for bit what each trial gives on its own."""
+    ref = shared.reference(rsr_db)
+    v1, v2 = shared.noise(sigma_v_sq)
+    z = readout(shared.s, ref.r, v1), readout(shared.rotated(phi), ref.r, v2)
+    return reconstruct_general(z, ref, phi)
 
 
 def _ber_chunk(cfg: ExperimentConfig, keys: np.ndarray):
@@ -342,7 +365,7 @@ def _ber_chunk(cfg: ExperimentConfig, keys: np.ndarray):
         if cfg.scheme == "rf_baseline":  # complex observation, no magnitude readout
             observed = received(draws.H, draws.x) + noise_scale(cfg.sigma_v_sq) * draws.w1
         else:
-            observed = _recover(draws, cfg.n, cfg.rsr_db, cfg.sigma_v_sq, cfg.phi)
+            observed = _recover(_Shared(draws, cfg.n), cfg.rsr_db, cfg.sigma_v_sq, cfg.phi)
         if cfg.detector == "ml":
             x_hat = ml_linear_stacked(observed, draws.H, c)
         else:
@@ -366,9 +389,9 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, keys=None) -> tuple[int, 
 def run_variance_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
     """One reconstruction trial: returns (s_hat, s) with s = Hx kept as ground truth."""
     keys = trial_keys(cfg.master_seed, trial_index, trial_index + 1, _ROLES["prss"])
-    draws = _draws(cfg, keys, _ROLES["prss"])
-    s_hat = _recover(draws, cfg.n, cfg.rsr_db, cfg.sigma_v_sq, cfg.phi)
-    return s_hat[0], received(draws.H, draws.x)[0]
+    shared = _Shared(_draws(cfg, keys, _ROLES["prss"]), cfg.n)
+    s_hat = _recover(shared, cfg.rsr_db, cfg.sigma_v_sq, cfg.phi)
+    return s_hat[0], shared.s[0]
 
 
 def _ber_block(cfg: ExperimentConfig, start: int, stop: int, lo: int, hi: int) -> tuple[int, int]:
@@ -398,11 +421,11 @@ def _variance_block(job, start: int, stop: int, lo: int, hi: int) -> np.ndarray:
 
 def _variance_chunk(cfg: ExperimentConfig, keys: np.ndarray, points) -> np.ndarray:
     """||s_hat - s||^2 at each point of the trials whose key rows are keys,
-    drawn once for all the points: shape (points, trials)."""
-    draws = _draws(cfg, keys, _ROLES["prss"])
-    s = received(draws.H, draws.x)
+    drawn once for all the points, and with every term that points share
+    computed once: shape (points, trials)."""
+    shared = _Shared(_draws(cfg, keys, _ROLES["prss"]), cfg.n)
     return np.array([
-        np.sum(np.abs(_recover(draws, cfg.n, *point) - s) ** 2, axis=-1)
+        np.sum(np.abs(_recover(shared, *point) - shared.s) ** 2, axis=-1)
         for point in points
     ])
 
@@ -529,16 +552,39 @@ def _take(counter, block, arg, start: int, stop: int, width: int) -> dict:
         done[lo] = block(arg, start, stop, lo, hi)
 
 
+# a worker starts with Ctrl-C held off (see _sigint_held) where the platform can
+_HOLD_SIGINT = hasattr(signal, "pthread_sigmask")
+
+
+@contextlib.contextmanager
+def _sigint_held():
+    """Hold off SIGINT in this thread for the span of a `with`, and in every
+    process it forks meanwhile. Ctrl-C that reaches a worker before `_serve`
+    runs would otherwise print a traceback from the interpreter's fork
+    handlers; held off, it ends the worker quietly once `_serve` lets it in,
+    and reaches the caller as KeyboardInterrupt when the `with` ends."""
+    if not _HOLD_SIGINT:
+        yield
+        return
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
 def _serve(conn, counter, width: int) -> None:
     """Worker loop: for each (block, arg, start, stop) that arrives on conn,
     claim chunks with _take and send back their results, or the exception
     that stopped it, until None arrives. A worker whose caller has died, or
-    that Ctrl-C reaches between batches, exits without a word."""
+    that Ctrl-C reaches after it started, exits without a word."""
     _one_blas_thread()
     # a forked worker may hold the caller's end of its own pipe, so the pipe
     # need not close when the caller dies; the caller's sentinel does
     watched = [conn, multiprocessing.parent_process().sentinel]
     try:
+        if _HOLD_SIGINT:  # held off since the caller started this worker
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
         while conn in multiprocessing.connection.wait(watched):
             job = conn.recv()
             if job is None:
@@ -579,15 +625,16 @@ class _Workers:
             self.counter = ctx.Value("q", 0)
             width = self.count + 1
             try:
-                for _ in range(self.count):
-                    conn, theirs = ctx.Pipe()
-                    self.conns.append(conn)
-                    proc = ctx.Process(
-                        target=_serve, args=(theirs, self.counter, width), daemon=True
-                    )
-                    proc.start()
-                    theirs.close()
-                    self.procs.append(proc)
+                with _sigint_held():
+                    for _ in range(self.count):
+                        conn, theirs = ctx.Pipe()
+                        self.conns.append(conn)
+                        proc = ctx.Process(
+                            target=_serve, args=(theirs, self.counter, width), daemon=True
+                        )
+                        proc.start()
+                        theirs.close()
+                        self.procs.append(proc)
             except BaseException:
                 self.__exit__()
                 raise

@@ -1,0 +1,32 @@
+"""Reference implementations that tests compare the package against.
+
+`build_measurement_matrix` and `lapack_reconstruct` recover s_hat by an
+explicit per-receiver 2x2 LAPACK solve of the first-order model, the way
+`reconstruct_general` did before it took its closed form at every offset.
+"""
+
+import numpy as np
+
+
+def build_measurement_matrix(u, phi: float) -> np.ndarray:
+    """Real 2x2 matrices mapping (Re s, Im s) to the two effective observations.
+
+    Rows are [Re u, -Im u] and [Re(u e^{j phi}), -Im(u e^{j phi})]; the
+    determinant is -sin(phi) for unit-modulus u.  Broadcasts over u: an
+    array of phase normalizers of shape S gives shape S + (2, 2).
+    """
+    u = np.asarray(u, dtype=complex)
+    rot = u * np.exp(1j * phi)
+    a = np.empty(u.shape + (2, 2))
+    a[..., 0, 0] = u.real
+    a[..., 0, 1] = -u.imag
+    a[..., 1, 0] = rot.real
+    a[..., 1, 1] = -rot.imag
+    return a
+
+
+def lapack_reconstruct(z, r, phi: float) -> np.ndarray:
+    """s_hat from an explicit per-receiver 2x2 solve of the first-order model."""
+    rhs = np.stack([z[0] - np.abs(r), z[1] - np.abs(r)], axis=-1)[..., None]
+    sol = np.linalg.solve(build_measurement_matrix(np.conj(r) / np.abs(r), phi), rhs)
+    return sol[..., 0, 0] + 1j * sol[..., 1, 0]

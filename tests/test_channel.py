@@ -157,3 +157,4 @@ def test_keyed_rng_restarts_streams_exactly():
                 expected = draw(_seed_sequence_rng(2**70 + 3, t, role))
                 assert np.array_equal(draw(stream_rng(2**70 + 3, t, role)), expected)
                 assert np.array_equal(draw(keyed_rng(keys[i, j])), expected)
+                assert np.array_equal(draw(keyed_rng(keys[i, j].tolist())), expected)

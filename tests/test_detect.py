@@ -23,7 +23,7 @@ from ramimo.detect import (
     DEFAULT_SEARCH_BUDGET, _candidate_count, _residual_norms, ml_linear_stacked,
     ml_single_shot_stacked,
 )
-from ramimo.montecarlo import _ROLES, _draws, _recover, snr_db_to_sigma_v_sq
+from ramimo.montecarlo import _ROLES, _draws, _recover, _Shared, snr_db_to_sigma_v_sq
 
 C4 = make_qam(4)
 C16 = make_qam(16)
@@ -75,7 +75,7 @@ def test_ml_matches_exhaustive_oracle_on_prss_trials():
         for snr_db in (6.0, 12.0, 18.0):
             cfg = ExperimentConfig(master_seed=seed, sigma_v_sq=snr_db_to_sigma_v_sq(snr_db))
             draws = _draws(cfg, trial_keys(seed, 0, 50, _ROLES["prss"]), _ROLES["prss"])
-            s_hat = _recover(draws, cfg.n, cfg.rsr_db, cfg.sigma_v_sq, cfg.phi)
+            s_hat = _recover(_Shared(draws, cfg.n), cfg.rsr_db, cfg.sigma_v_sq, cfg.phi)
             for t in range(50):
                 _assert_matches_oracle(s_hat[t], draws.H[t], C16)
 
@@ -153,7 +153,7 @@ def _prss_stack(trials, m, n, snr_db, seed):
     """Reconstructed s_hat and H of `trials` prss trials, stacked."""
     cfg = ExperimentConfig(m=m, n=n, master_seed=seed, sigma_v_sq=snr_db_to_sigma_v_sq(snr_db))
     draws = _draws(cfg, trial_keys(seed, 0, trials, _ROLES["prss"]), _ROLES["prss"])
-    return _recover(draws, n, cfg.rsr_db, cfg.sigma_v_sq, cfg.phi), draws.H
+    return _recover(_Shared(draws, n), cfg.rsr_db, cfg.sigma_v_sq, cfg.phi), draws.H
 
 
 @pytest.mark.parametrize("screen, stack", [(64, 2048), (1000, 1 << 17), (1 << 14, 10_000)])

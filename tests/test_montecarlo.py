@@ -196,6 +196,19 @@ def test_batched_variance_points_share_draws():
         assert got[p].tobytes() == np.array([_oracle_variance(point, t) for t in range(7)]).tobytes()
 
 
+def test_variance_chunk_points_keep_their_bits_when_sharing_terms():
+    # a chunk computes Hx, H(x e^{j phi}), the reference terms and the scaled
+    # noise once for every point that shares them; each point alone computes its own
+    cfg = ExperimentConfig(m=64, n=2, master_seed=33)
+    keys = trial_keys(cfg.master_seed, 0, 5, montecarlo._ROLES["prss"])
+    points = [(rsr, sv, phi) for phi in (PI / 2, 0.9, -PI / 2)
+              for sv in (0.1, 0.001) for rsr in (20.0, 35.0)]
+    got = montecarlo._variance_chunk(cfg, keys, points)
+    assert got.shape == (len(points), 5)
+    for row, point in zip(got, points):
+        assert row.tobytes() == montecarlo._variance_chunk(cfg, keys, [point])[0].tobytes()
+
+
 def _all_candidates(c, n):
     """All J^N candidate vectors in mixed-radix order, first user's index fastest."""
     return c.points[(np.arange(c.order**n)[:, None] // c.order ** np.arange(n)) % c.order]
@@ -574,6 +587,44 @@ def test_an_interrupted_batch_returns_promptly(group, bound):
     finally:
         proc.kill()
         proc.communicate()
+
+
+# Ctrl-C to the whole process group right after a worker's start() returns,
+# while the worker still runs the interpreter's fork handlers (threading's
+# among them), where a KeyboardInterrupt prints "Exception ignored in". A
+# fork handler of the script's own tells the caller when the worker is there.
+_INTERRUPTED_START = """
+import multiprocessing.process, os, signal, time
+forked, in_handlers = os.pipe()
+
+def handler():
+    os.write(in_handlers, b"x")
+    time.sleep(0.2)
+
+os.register_at_fork(after_in_child=handler)
+start = multiprocessing.process.BaseProcess.start
+
+def start_then_interrupt(self):
+    start(self)
+    os.read(forked, 1)
+    os.killpg(0, signal.SIGINT)
+
+multiprocessing.process.BaseProcess.start = start_then_interrupt
+""" + _RUN_SCRIPT
+
+
+def test_ctrl_c_while_a_worker_starts_reaches_only_the_caller():
+    for _ in range(10):
+        proc = _interpreter(_INTERRUPTED_START)
+        try:
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.communicate()
+        # the caller reports the interrupt: one traceback, and death by SIGINT
+        assert "Exception ignored" not in err, err
+        assert err.count("Traceback") == 1 and err.rstrip().endswith("KeyboardInterrupt"), err
+        assert proc.returncode == -signal.SIGINT and out == "", (proc.returncode, out)
 
 
 def test_variance_sweep_serial_parallel_identical():
