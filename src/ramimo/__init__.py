@@ -16,7 +16,6 @@ from .frontend import observe_single, observe_prss
 from .reconstruct import (
     DegenerateReferenceError,
     SingularOffsetError,
-    effective_observations,
     reconstruct_optimal,
     reconstruct_general,
     predicted_trace,

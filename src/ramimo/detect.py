@@ -4,13 +4,14 @@ Both ML searches index candidate vectors in mixed-radix order with the first
 user's index varying fastest, and ties resolve to the lowest candidate index,
 so results are reproducible down to degenerate inputs. `ml_single_shot`
 scores all J^N candidates. `ml_linear` finds the same minimizer from one
-R-only QR per trial, the QR that `zf_linear` solves with: it splits each
-candidate into halves x_a and x_b of about sqrt(J^N) choices each, bounds
-from below every candidate that holds a given x_b, and screens against all
-x_a only the x_b that can still win. Both ML searches run on stacks of
-trials (`ml_linear_stacked`, `ml_single_shot_stacked`); the one-trial
-functions are views of those, and a trial's result does not depend on the
-trials stacked with it.
+R-only QR per trial, the QR that `zf_linear` solves with: a tree search
+assigns the users from the last to the first, row by row of the triangular
+R, and drops every branch whose metric so far exceeds the best complete
+candidate's (Agrell, Eriksson, Vardy and Zeger, "Closest point search in
+lattices", IEEE T-IT 2002). Both ML searches run on stacks of trials
+(`ml_linear_stacked`, `ml_single_shot_stacked`); the one-trial functions are
+views of those, and a trial's result does not depend on the trials stacked
+with it.
 """
 
 from __future__ import annotations
@@ -21,12 +22,10 @@ from .constellation import Constellation, quantize
 
 DEFAULT_SEARCH_BUDGET = 1 << 24
 _LATTICE = 1 << 16  # ml_single_shot candidates per block; smaller lattices are scored whole
-_SCREEN = 1 << 14  # ml_linear scores per block: 128 KB stays in cache and on the heap
-_STACK = 1 << 15  # floats (256 KB) of per-trial tables that one stacked step builds
+_STACK = 1 << 15  # floats (256 KB) of tables or search nodes that one stacked step builds
 
 COND_LIMIT = 1e12
 _EPS = np.finfo(float).eps
-_FMAX = np.finfo(float).max
 
 
 class SearchBudgetError(ValueError):
@@ -112,130 +111,177 @@ def _qr_r(s_hat: np.ndarray, H: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.concatenate([H, s_hat[..., None]], axis=-1), mode="r")
 
 
+def _children(i: int, u: np.ndarray, metric: np.ndarray, prod: np.ndarray):
+    """The J children of P nodes at user i, from the nodes' residuals u
+    (P, rows) and metrics (P,) and user i's products prod (P, J, >= rows):
+    the children's partial metrics (P, J), and their residuals w = u - prod
+    (P, J, rows), whose rows below i are what each child passes on.
+
+    A child's metric is its parent's plus |w_i|^2, or the parent's alone
+    where no row of R has its diagonal at user i.
+    """
+    w = u[:, None] - prod[..., : u.shape[1]]
+    if i >= u.shape[1]:
+        return np.broadcast_to(metric[:, None], w.shape[:2]), w
+    d = w[..., i]
+    part = d.real * d.real
+    part += d.imag * d.imag
+    part += metric[:, None]
+    return part, w
+
+
 def ml_linear_stacked(s_hat: np.ndarray, H: np.ndarray, c: Constellation) -> np.ndarray:
     """`ml_linear` of each trial of a stack: s_hat (T, M) and H (T, M, N)
     give x_hat (T, N), every row what its trial gives alone.
 
-    Split x = (x_a, x_b), where x_a holds the first na = ceil(N/2) users (the
-    fastest-varying digits), so the candidate index is a + J^na * b. One
-    R-only QR per trial (`_qr_r`) gives R (K, N + 1); with c = R[:, N] the
-    metric is ||c - R[:, :N] x||^2. Rows na and below of R read x_b alone, so
-    their part, lb(b) = ||c_b - R_bb x_b||^2 (0 when K <= na), bounds every
-    candidate that holds x_b. With u_b = c_a - R_ab x_b and v_a = R_aa x_a
-    from the rows above, the metric of (a, b) is
-    lb(b) + ||u_b||^2 + ||v_a||^2 - 2 Re<u_b, v_a>, so one real matrix product
-    of [u_b, ||u_b||^2 + lb(b), 1] with [-2 v_a, 1, ||v_a||^2], at most 2 na + 2
-    deep, scores a block of them.
+    One R-only QR per trial (`_qr_r`) gives R (K, N + 1), K = min(M, N + 1);
+    with c = R[:, N] the metric is ||c - R[:, :N] x||^2, the sum over rows r
+    of |c_r - sum_{j >= r} R_rj x_j|^2. Row r reads users r and up only, so
+    a tree that assigns users N - 1, ..., 0 in turn completes row r when it
+    assigns user r. A node's partial metric is the sum over its completed
+    rows, starting from |c_N|^2, the row that reads no x when K = N + 1; a
+    user i >= K completes no row, adds 0 and keeps all J branches.
 
-    The search has two stages. Each trial's lowest-bound x_b is screened
-    against every x_a, which sets the trial's best. Then every x_b with
-    lb(b) <= best + tol is screened, in blocks of at most _SCREEN scores
-    (several trials at once when their live x_b are few, else slices of one
-    trial's), each pruned against its trial's running best. The tables are
-    built for up to _STACK floats' worth of trials at a time.
+    Each trial first descends to its successive-quantization (Babai) point,
+    the child of least partial metric at every level; that point's metric
+    is the trial's radius. The tree then runs breadth first, a block of at
+    most _STACK floats' worth of nodes per step, and a child survives while
+    its partial metric is at most radius + tol. Blocks run depth first, so
+    leaves arrive early and each lowers its trial's radius to its metric.
+    Where the survivors of a step fill more than one block, each is also
+    charged a lower bound on the rows it has not completed: row r < i moves
+    by at most S_r = max|x| sum_{j < i} |R_rj| over users 0..i-1, so it adds
+    at least max(0, |w_r| - S_r)^2, w_r being the row's residual so far.
+    At low SNR this keeps the tree from growing to J^N nodes.
 
     With B = ||s_hat|| + max|x| sum_j ||h_j||, every s_hat - Hx has norm at
     most B. Householder QR is backward stable: the computed R is the exact R
     of [H + dH | s_hat + ds], with ||dh_j|| <= g ||h_j||, ||ds|| <= g ||s_hat||
     and g = k M (N + 1) eps for a small constant k (Higham, Accuracy and
-    Stability of Numerical Algorithms, Thm 19.4). So its exact metric is
-    within 3 g B^2 of ||s_hat - Hx||^2. R keeps the perturbed column norms,
-    so u_b, v_a and the rows of lb have norm at most (1 + g) B, and
-    first-order rounding bounds put the screened value within
-    (6M + 2N + 12) eps B^2 of that, as for a screen over M rows; the
-    rescore by `_residual_norms` is within (M + 2N + 4) eps B^2. With d the
-    sum of these three, an exact minimum screens within 2d of any screened
-    score, and its lb(b) within 3d, since the screen adds the nonnegative
-    ||u_b - v_a||^2 to lb(b). tol = 256 (M (N + 1) + M + N + 2) eps B^2
-    exceeds 3d for any k up to 16, so neither a pruned x_b nor a dropped
-    score holds an exact minimum; a wider tol costs only a few more
-    survivors.
+    Stability of Numerical Algorithms, Thm 19.4). So its exact metric f'(x)
+    is within 3 g B^2 of f(x) = ||s_hat - Hx||^2. R keeps the perturbed
+    column norms, so the row sizes A_r = |c_r| + max|x| sum_j |R_rj| have
+    sum A_r^2 <= (1 + g)^2 B^2. Row r's residual rounds to within
+    (N + 3) eps A_r (one rounded product and subtraction per user), its
+    square to within (2N + 10) eps A_r^2, and the running sum of at most
+    K + 1 rows adds (K + 1) eps of itself: a computed partial metric is
+    within (2N + M + 11) eps B^2 of the exact partial on R, to first order.
+    The exact partial is at most f'(x), and max(0, |w_r| - S_r) at most the
+    row's exact final residual, so with their own rounding a computed
+    partial metric plus bound is at most f'(x) + (6N + 2M + 25) eps B^2.
+    `_residual_norms`, which rescores, is within (M + 2N + 4) eps B^2 of f.
+    Chaining these from an exact minimizer x* (least rescored metric) to the
+    candidate y whose computed metric set the radius, x*'s computed partial
+    metric, with or without the bound, is at most that metric plus
+    D = (6 k M (N + 1) + 5M + 12N + 44) eps B^2 at every level. B^2 is at
+    most (N + 1) max(1, max|x|)^2 ||[H | s_hat]||_F^2 (Cauchy-Schwarz), and
+    that Frobenius norm is within a factor 1 + g of R's, so
+    tol = 256 (M (N + 1) + M + N + 2) (N + 1) max(1, max|x|)^2 eps ||R||_F^2
+    exceeds D for any k up to 16: no step drops an exact minimizer, and each
+    lies within tol of its trial's least leaf metric.
 
-    The candidates whose screened score lies within tol of their trial's
-    screened minimum are rescored by `_residual_norms` on (s_hat, H), and the
-    lowest index among the exact minima wins; a trial with a single such
-    candidate needs no rescoring. The winner thus depends only on the bits of
-    s_hat and H, not on how the screen was computed or how many trials were
-    stacked.
+    The leaves within tol of their trial's least leaf metric are kept. A
+    trial left with one such leaf takes it as it is; the leaves of the
+    others are rescored by `_residual_norms` on (s_hat, H), and the lowest
+    index among the exact minima wins. The winner thus depends only on the
+    bits of s_hat and H, not on how the tree was cut into blocks or how many
+    trials were stacked.
     """
     H = np.asarray(H)
     s_hat = np.asarray(s_hat, dtype=complex)
     trials, m, n = H.shape
     _candidate_count(c, n)
-    na = (n + 1) // 2
-    xa, xb = _lattice(c, na), _lattice(c, n - na)
-    width = len(xa)
-    s_abs, h_abs = np.abs(s_hat), np.abs(H)
-    bound = (np.sqrt(np.einsum("ti,ti->t", s_abs, s_abs)) + np.abs(c.points).max()
-             * np.sqrt(np.einsum("tij,tij->tj", h_abs, h_abs)).sum(axis=-1))
-    tol = 256 * (m * (n + 1) + m + n + 2) * _EPS * bound**2
+    order = c.order
     R = _qr_r(s_hat, H)
     k = R.shape[1]
-    ka = min(na, k)  # rows of R that read x_a; the other rows read x_b alone
-    depth = 2 * ka + 2
-    group = max(1, _STACK // ((len(xa) + len(xb)) * depth))
-    best = np.full(trials, np.inf)
-    kept_trial, kept_index, kept_score = [], [], []
+    rv = R.view(float)
+    top_x = np.abs(c.points).max()
+    tol = (256 * (m * (n + 1) + m + n + 2) * (n + 1) * max(1.0, top_x) ** 2 * _EPS
+           * np.einsum("tij,tij->t", rv, rv))
+    if not np.isfinite(tol).all():  # a NaN or inf metric would prune every branch
+        raise ValueError("s_hat and H must be finite")
+    group = max(1, _STACK // (2 * n * order * k))  # trials whose products one step holds
+    per = max(1, _STACK // (order * (2 * k + 4)))  # nodes whose children one step holds
+    radius = np.empty(trials)
+    found = []  # (trial, index, metric) of each block of surviving leaves
     for g in range(0, trials, group):
         r = R[g : g + group]
-        tg = np.arange(len(r))
-        # y = c - R_b x_b of every x_b, as floats: the rows that read x_a (u), then the rest
-        pb = xb @ r[..., na:n].transpose(2, 0, 1).reshape(n - na, len(r) * k)
-        y = (r[..., n] - pb.reshape(len(xb), len(r), k)).view(float)
-        u, d = y[..., : 2 * ka], y[..., 2 * ka :]
-        lb = np.einsum("jti,jti->tj", d, d)  # each x_b's bound: (T, J^nb)
-        left = np.empty((len(r), len(xb), depth))
-        left[..., :-2] = u.transpose(1, 0, 2)
-        left[..., -2] = np.einsum("jti,jti->tj", u, u) + lb
-        left[..., -1] = 1.0
-        va = xa @ r[:, :ka, :na].transpose(2, 0, 1).reshape(na, len(r) * ka)
-        v = va.reshape(len(xa), len(r), ka).view(float)
-        right = np.empty((len(r), depth, width))  # stored transposed: a contiguous operand
-        right[:, :-2] = -2.0 * v.transpose(1, 2, 0)
-        right[:, -2] = 1.0
-        right[:, -1] = np.einsum("jti,jti->tj", v, v)
-        # stage 1: every x_a with each trial's lowest-bound x_b sets its best
-        best[g : g + len(r)] = (left[tg, lb.argmin(axis=1), None] @ right).min(axis=(1, 2))
-        # stage 2: only the x_b whose bound can still beat the best
-        live = lb <= (best[g : g + len(r)] + tol[g : g + len(r)])[:, None]
-        count = live.sum(axis=1)
-        b = np.argsort(~live, axis=1, kind="stable")[:, : count.max()]  # live x_b first
-        screen = left[tg[:, None], b]
-        # rows past a trial's live x_b score above any cut, so the pairs kept
-        # are live ones, in index order
-        if count.min() < b.shape[1]:
-            screen[np.arange(b.shape[1]) >= count[:, None]] = [0.0] * (depth - 2) + [_FMAX, 0.0]
-        rows = min(b.shape[1], max(1, _SCREEN // width))  # b rows per screen block
-        per = max(1, _SCREEN // (rows * width))  # trials per screen block
-        for t0 in range(0, len(r), per):
-            t1 = min(t0 + per, len(r))
-            low_best, tol_t = best[g + t0 : g + t1], tol[g + t0 : g + t1]  # views
-            for lo in range(0, count[t0:t1].max(), rows):
-                scores = screen[t0:t1, lo : lo + rows] @ right[t0:t1]
-                low_s = scores.min(axis=(1, 2))
-                cut = np.minimum(low_s, low_best) + tol_t
-                hits = (scores.reshape(t1 - t0, -1) <= cut[:, None]).ravel().nonzero()[0]
-                t, row = np.divmod(hits, scores[0].size)
-                row, a = np.divmod(row, width)
-                kept_trial.append(g + t0 + t)
-                kept_index.append(b[t0 + t, lo + row] * width + a)
-                kept_score.append(scores.ravel()[hits])
-                np.minimum(low_best, low_s, out=low_best)
-    # kept pairs run in trial order, and in index order within a trial
-    trial = np.concatenate(kept_trial)
-    index = np.concatenate(kept_index)
-    near = np.concatenate(kept_score) <= best[trial] + tol[trial]
-    trial, index = trial[near], index[near]
-    first = trial.searchsorted(np.arange(trials))  # each trial's first (lowest-index) pair
+        t = np.arange(len(r))
+        # prod[i, t, a, j] = R_ji x_a: what user i at point a takes from row j
+        prod = r[:, :, :n].transpose(2, 0, 1)[:, :, None] * c.points[:, None]
+        root = np.abs(r[:, n, n]) ** 2 if k > n else np.zeros(len(r))  # the row that reads no x
+        top = _children(n - 1, r[:, : min(n, k), n], root, prod[n - 1])
+        part, w = top  # descend to the Babai point
+        first = order * t  # each trial's first child, as a flat index
+        for i in range(n - 1, 0, -1):
+            q = part.argmin(axis=1) + first  # each trial's best child
+            u = w.reshape(-1, w.shape[2]).take(q, axis=0)[:, : min(i, k)]
+            part, w = _children(i - 1, u, part.ravel().take(q), prod[i - 1])
+        best = radius[g : g + len(r)]
+        best[:] = part.min(axis=1)
+        lim = best + tol[g : g + len(r)]
+        reach = None
+        # a step pops nodes at user i with their children's (metrics, residuals)
+        # if already built; the root's are the Babai descent's first level
+        stack = [(n - 1, t, None, None, np.zeros(len(r), dtype=np.int64), top)]
+        while stack:
+            i, t, u, metric, index, kids = stack.pop()
+            if kids is None:
+                if len(t) > per:  # split into blocks, the first on top
+                    stack += [(i, t[lo : lo + per], u[lo : lo + per], metric[lo : lo + per],
+                               index[lo : lo + per], None)
+                              for lo in range((len(t) - 1) // per * per, -1, -per)]
+                    continue
+                kids = _children(i, u, metric, prod[i].take(t, axis=0))
+            part, w = kids
+            q = (part <= lim.take(t)[:, None]).ravel().nonzero()[0]
+            p, a = np.divmod(q, order)
+            t, metric, index = t.take(p), part.ravel().take(q), index.take(p) * order + a
+            if i:
+                rows = min(i, k)
+                u = w.reshape(-1, w.shape[2]).take(q, axis=0)[:, :rows]
+                if len(q) > per:  # more than a block: charge the rows not yet completed
+                    if reach is None:  # reach[l, t, j]: S_j of row j while users 0..l are open
+                        reach = np.cumsum(np.abs(r[:, :, :n]), axis=2).transpose(2, 0, 1) * top_x
+                    gap = np.abs(u) - reach[i - 1].take(t, axis=0)[:, :rows]
+                    np.maximum(gap, 0.0, out=gap)
+                    gap *= gap
+                    keep = (metric + gap.sum(axis=1) <= lim.take(t)).nonzero()[0]
+                    t, metric, index, u = t[keep], metric[keep], index[keep], u[keep]
+                stack.append((i - 1, t, u, metric, index, None))
+            else:
+                found.append((t + g, index, metric))
+                if stack:  # lower the radius for the blocks still to come
+                    np.minimum.at(best, t, metric)
+                    np.add(best, tol[g : g + len(r)], out=lim)
+    # leaves run in trial order within a block, and blocks in no set order
+    trial, index, metric = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
+    if len(trial) > trials:  # keep the leaves within tol of their trial's least metric
+        np.minimum.at(radius, trial, metric)
+        near = metric <= radius[trial] + tol[trial]
+        trial, index = trial[near], index[near]
+    if len(trial) > trials:  # some trial has tied leaves
+        index = _tie_break(s_hat, H, c, trial, index)
+    elif len(found) > 1:  # one leaf per trial: each is its trial's minimizer
+        index = index[np.argsort(trial, kind="stable")]
+    return _candidates(c, n, index)
+
+
+def _tie_break(s_hat, H, c, trial, index) -> np.ndarray:
+    """Each trial's lowest-index exact minimizer among its near leaves
+    (trial[i], index[i]), every trial holding at least one: a lone near
+    leaf as it is, several rescored by `_residual_norms` on (s_hat, H)."""
+    by = np.lexsort((index, trial))
+    trial, index = trial[by], index[by]
+    first = trial.searchsorted(np.arange(len(s_hat)))  # each trial's lowest-index near leaf
     tied = np.diff(first, append=len(trial)) > 1
-    if tied.any():  # a lone near candidate is the minimizer; rescore the others
-        pair = tied[trial]
-        cand = _candidates(c, n, index[pair])
-        metric = _residual_norms(s_hat[trial[pair]], H[trial[pair]], cand)
-        # a stable sort by (trial, metric) puts each trial's lowest-index exact minimum first
-        order = np.lexsort((metric, trial[pair]))
-        index[first[tied]] = index[pair][order[trial[pair].searchsorted(np.flatnonzero(tied))]]
-    return _candidates(c, n, index[first])
+    pair = tied[trial]
+    cand = _candidates(c, H.shape[-1], index[pair])
+    metric = _residual_norms(s_hat[trial[pair]], H[trial[pair]], cand)
+    # a stable sort by (trial, metric) puts each trial's lowest-index exact minimum first
+    by = np.lexsort((metric, trial[pair]))
+    index[first[tied]] = index[pair][by[trial[pair].searchsorted(np.flatnonzero(tied))]]
+    return index[first]
 
 
 def zf_linear(s_hat: np.ndarray, H: np.ndarray, c: Constellation) -> np.ndarray:

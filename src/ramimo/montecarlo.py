@@ -280,6 +280,20 @@ class _Draws(NamedTuple):
     w2: np.ndarray | None  # (B, M) and of slot 2
 
 
+def _fair_bits(keys, count: int) -> np.ndarray:
+    """`draw_bits(count, keyed_rng(key))` of each key, as rows (int64).
+
+    integers(0, 2) draws by Lemire's method, which for a range of 2 is the
+    top bit of a uint32, and Philox hands out a raw 64-bit word's low half
+    before its high half. So the bits are bits 31 and 63 of each raw word,
+    in that order, ceil(count / 2) words per stream.
+    """
+    half = (count + 1) // 2
+    words = np.array([keyed_rng(key).bit_generator.random_raw(half) for key in keys],
+                     dtype="<u8").reshape(-1, half)
+    return (words.view("<u4") >> 31)[:, :count].astype(np.int64)
+
+
 def _draws(cfg: ExperimentConfig, keys: np.ndarray, roles: tuple[str, ...]) -> _Draws:
     """Draws of the trials whose key-table rows over `roles` are keys: one
     draw per trial and role, each from its own stream.
@@ -295,10 +309,7 @@ def _draws(cfg: ExperimentConfig, keys: np.ndarray, roles: tuple[str, ...]) -> _
     out = dict.fromkeys(STREAM_IDS)
     for role, column in zip(roles, keys.transpose(1, 0, 2).tolist()):
         if role == "bits":
-            buf = np.empty((trials, n * c.bits_per_symbol), dtype=np.int64)
-            for row, key in zip(buf, column):
-                row[:] = keyed_rng(key).integers(0, 2, len(row))
-            out[role] = buf
+            out[role] = _fair_bits(column, n * c.bits_per_symbol)
         elif role == "reference":
             buf = np.empty((trials, m))
             for row, key in zip(buf, column):

@@ -61,11 +61,6 @@ def _effective(z: Readouts, mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z1 - mag, z2 - mag
 
 
-def effective_observations(z: Readouts, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Effective observations (y1, y2): the readouts z less the reference magnitude."""
-    return _effective(z, np.abs(np.asarray(r)))
-
-
 def reconstruct_optimal(z: Readouts, r: np.ndarray | Reference, sign: int = 1) -> np.ndarray:
     """Closed-form estimate s_hat for a quarter-turn offset, phi = sign * pi/2.
 

@@ -3,9 +3,19 @@
 `build_measurement_matrix` and `lapack_reconstruct` recover s_hat by an
 explicit per-receiver 2x2 LAPACK solve of the first-order model, the way
 `reconstruct_general` did before it took its closed form at every offset.
+`effective_observations` is the readouts less |r|, through the subtraction
+and shape check that both reconstructions run.
 """
 
 import numpy as np
+
+from ramimo.reconstruct import _effective
+
+
+def effective_observations(z, r) -> tuple[np.ndarray, np.ndarray]:
+    """Effective observations (y1, y2): the readouts z = (z1, z2) less the
+    reference magnitude |r|; a shape mismatch raises ValueError."""
+    return _effective(z, np.abs(np.asarray(r)))
 
 
 def build_measurement_matrix(u, phi: float) -> np.ndarray:

@@ -80,8 +80,8 @@ def test_ml_matches_exhaustive_oracle_on_prss_trials():
                 _assert_matches_oracle(s_hat[t], draws.H[t], C16)
 
 
-# (1, 3), (2, 4) and (2, 3): K = min(M, N + 1) <= ceil(N / 2), so no row of R
-# reads x_b alone, every bound is 0 and every x_b is screened
+# (1, 3), (2, 4) and (2, 3): K = min(M, N + 1) < N, so users K..N-1 have no
+# diagonal row in R, add nothing to the partial metric and keep every branch
 @pytest.mark.parametrize("m, n, c", [(4, 3, C4), (6, 5, C4), (3, 1, C4), (2, 1, C16), (4, 2, C64),
                                      (1, 3, C4), (2, 4, C4), (2, 3, C16)])
 def test_ml_matches_exhaustive_oracle_odd_and_edge_sizes(m, n, c):
@@ -156,13 +156,19 @@ def _prss_stack(trials, m, n, snr_db, seed):
     return _recover(_Shared(draws, n), cfg.rsr_db, cfg.sigma_v_sq, cfg.phi), draws.H
 
 
-@pytest.mark.parametrize("screen, stack", [(64, 2048), (1000, 1 << 17), (1 << 14, 10_000)])
-def test_stacked_ml_matches_exhaustive_oracle_in_small_blocks(monkeypatch, screen, stack):
-    # small screens split one trial's scores into pruned slices; small
-    # stacks split the trials into groups that build their tables apart
-    monkeypatch.setattr(detect, "_SCREEN", screen)
+@pytest.mark.parametrize("stack", [64, 2048, 10_000])
+def test_stacked_ml_matches_exhaustive_oracle_in_small_blocks(monkeypatch, stack):
+    # a small cap splits one trial's nodes into blocks that run one after
+    # another (64: one node per block, 2048: 10), lowering the radius as
+    # leaves arrive and charging the bound on open rows when a step's
+    # survivors fill more than a block; it also splits the trials into
+    # groups (64: 1 trial, 2048: 5, 10 000: 26) that build their products apart
     monkeypatch.setattr(detect, "_STACK", stack)
     s_hat, H = _prss_stack(40, 6, 3, 8.0, 44)
+    got = ml_linear_stacked(s_hat, H, C16)
+    for t in range(len(H)):
+        assert np.array_equal(got[t], _exhaustive_ml(s_hat[t], H[t], C16)), t
+    s_hat, H = _prss_stack(12, 6, 3, -10.0, 45)  # the radius prunes little
     got = ml_linear_stacked(s_hat, H, C16)
     for t in range(len(H)):
         assert np.array_equal(got[t], _exhaustive_ml(s_hat[t], H[t], C16)), t
@@ -170,9 +176,10 @@ def test_stacked_ml_matches_exhaustive_oracle_in_small_blocks(monkeypatch, scree
 
 @pytest.mark.parametrize("m, n, c", [(6, 4, C4), (5, 3, C16)])
 def test_stacked_ml_matches_exhaustive_oracle_when_every_x_b_survives(m, n, c):
-    # zero x_b columns give every x_b the same bound, and noise at 100x the
-    # signal leaves the bounds' spread far below the best metric: either way
-    # every x_b is screened
+    # zero columns for the last users give all their branches the same
+    # partial metric, and noise at 100x the signal leaves the partial
+    # metrics' spread far below the radius: either way the radius prunes
+    # little until the last levels
     rng = np.random.default_rng(46)
     t = 6
     H = np.sqrt(0.5 / n) * (rng.standard_normal((t, m, n)) + 1j * rng.standard_normal((t, m, n)))
@@ -185,6 +192,40 @@ def test_stacked_ml_matches_exhaustive_oracle_when_every_x_b_survives(m, n, c):
         got = ml_linear_stacked(s_hat, H, c)
         for k in range(t):
             assert np.array_equal(got[k], _exhaustive_ml(s_hat[k], H[k], c)), k
+
+
+def test_stacked_ml_matches_exhaustive_oracle_at_noise_100x_the_signal():
+    # 16-QAM 8x4: the partial metrics alone would keep almost all 2^16
+    # leaves; the bound on the open rows prunes them
+    rng = np.random.default_rng(47)
+    t, m, n = 8, 8, 4
+    H = np.sqrt(0.5 / n) * (rng.standard_normal((t, m, n)) + 1j * rng.standard_normal((t, m, n)))
+    x = C16.points[rng.integers(0, 16, (t, n))]
+    w = rng.standard_normal((t, m)) + 1j * rng.standard_normal((t, m))
+    s_hat = np.einsum("tij,tj->ti", H, x) + 100.0 * w
+    got = ml_linear_stacked(s_hat, H, C16)
+    for k in range(t):
+        assert np.array_equal(got[k], _exhaustive_ml(s_hat[k], H[k], C16)), k
+
+
+def test_ml_64qam_8x4_noisy_stack_in_bounded_memory():
+    # 2^24 candidates per trial at noise 10x the signal: the tree must stay
+    # within its blocks, and each row must be what its trial gives alone
+    rng = np.random.default_rng(48)
+    t, m, n = 6, 8, 4
+    H = np.sqrt(0.5 / n) * (rng.standard_normal((t, m, n)) + 1j * rng.standard_normal((t, m, n)))
+    x = C64.points[rng.integers(0, 64, (t, n))]
+    w = rng.standard_normal((t, m)) + 1j * rng.standard_normal((t, m))
+    s_hat = np.einsum("tij,tj->ti", H, x) + 10.0 * w
+    tracemalloc.start()
+    try:
+        got = ml_linear_stacked(s_hat, H, C64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    for k in range(t):
+        assert np.array_equal(got[k], ml_linear(s_hat[k], H[k], C64)), k
 
 
 @pytest.mark.parametrize("lattice", [16, 100, 1 << 16])
@@ -208,7 +249,7 @@ def test_stacked_single_shot_matches_one_trial_in_small_blocks(monkeypatch, latt
 
 
 def test_ml_64qam_8x4_noiseless_in_bounded_memory():
-    # 2^24 candidates: the screen must run in chunks, not one 128 MB score matrix
+    # 2^24 candidates: the search must run in blocks, not hold all of them
     rng = np.random.default_rng(7)
     H, _ = np.linalg.qr(rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
     x = C64.points[rng.integers(0, 64, 4)]
@@ -224,8 +265,9 @@ def test_ml_64qam_8x4_noiseless_in_bounded_memory():
 
 
 def test_ml_64qam_8x4_every_x_b_surviving_in_bounded_memory():
-    # zero x_b columns: all 2^12 x_b survive, and each ties with the others
-    # at the true x_a, so the lowest-index x_b (point 0 for both users) wins
+    # zero columns for users 2 and 3: all 2^12 of their branches survive, and
+    # each ties with the others at the true users 0 and 1, so the lowest
+    # index (point 0 for both) wins
     rng = np.random.default_rng(8)
     H, _ = np.linalg.qr(rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
     H[:, 2:] = 0.0
@@ -268,6 +310,17 @@ def test_ml_enumeration_order_first_user_fastest():
     x_hat = ml_linear(np.array([C4.points[3]]), H, C4)
     assert x_hat[0] == C4.points[3]
     assert x_hat[1] == C4.points[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ml_refuses_non_finite_input(bad):
+    H = np.eye(3, dtype=complex)
+    s_hat = np.ones(3, dtype=complex)
+    with pytest.raises(ValueError):
+        ml_linear(np.where(np.arange(3) == 1, bad, s_hat), H, C4)
+    H[2, 0] = bad
+    with pytest.raises(ValueError):
+        ml_linear_stacked(np.ones((2, 3), dtype=complex), np.stack([np.eye(3), H]), C4)
 
 
 def test_ml_budget_guard():

@@ -32,7 +32,7 @@ from ramimo import (
     zf_linear,
 )
 from ramimo import montecarlo
-from ramimo.channel import MAX_TRIALS, STREAM_IDS, trial_keys
+from ramimo.channel import MAX_TRIALS, STREAM_IDS, draw_bits, keyed_rng, trial_keys
 from ramimo.detect import _residual_norms, ml_linear_stacked, ml_single_shot_stacked
 from ramimo.montecarlo import (
     BATCH_TRIALS,
@@ -157,6 +157,18 @@ def test_trials_derive_only_the_streams_they_use(monkeypatch):
     derived.clear()
     run_variance_trial(ExperimentConfig(m=4, n=2), 3)
     assert [sorted(roles) for roles in derived] == [sorted(STREAM_IDS)]
+
+
+def test_fair_bits_from_raw_words_match_draw_bits():
+    # bits 31 and 63 of each raw Philox word are what integers(0, 2) draws;
+    # odd counts drop the last word's high half
+    keys = trial_keys(2026, 0, 1000, ("bits",))[:, 0]
+    rows = keys.tolist()
+    for count in range(1, 34):
+        got = montecarlo._fair_bits(rows, count)
+        want = np.array([draw_bits(count, keyed_rng(key)) for key in keys])
+        assert got.dtype == want.dtype and np.array_equal(got, want), count
+    assert montecarlo._fair_bits([], 5).shape == (0, 5)
 
 
 def _oracle_variance(cfg, t):

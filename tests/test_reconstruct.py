@@ -7,14 +7,13 @@ import ramimo.reconstruct
 from ramimo import (
     DegenerateReferenceError,
     SingularOffsetError,
-    effective_observations,
     observe_prss,
     predicted_mse,
     predicted_trace,
     reconstruct_general,
     reconstruct_optimal,
 )
-from oracles import build_measurement_matrix, lapack_reconstruct
+from oracles import build_measurement_matrix, effective_observations, lapack_reconstruct
 
 PI = np.pi
 
