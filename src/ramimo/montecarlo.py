@@ -8,9 +8,9 @@ points get independent sub-seeds, except the reference-strength sweep, which
 evaluates every strength on the same draws so the recovery error can be
 compared pathwise across points.
 
-Each process derives a batch's stream keys once (`trial_keys`) and draws a
-trial's streams from one restarted generator (`keyed_rng`), each into its
-row of a chunk buffer per role. Every other step runs stacked, a chunk of
+Each block of trials that a process claims derives its own stream keys
+(`trial_keys`) and draws a trial's streams from one restarted generator
+(`keyed_rng`), each into its row of a chunk buffer per role. Every other step runs stacked, a chunk of
 trials per numpy call: the draws' elementwise steps; the frontend,
 reconstruction and squared error of a variance chunk, whose points compute
 what they share once (`_Shared`); the frontend,
@@ -255,15 +255,6 @@ def _variance_trials(cfg: ExperimentConfig) -> int:
     return math.ceil(cfg.samples / cfg.m)
 
 
-@lru_cache(maxsize=1)
-def _batch_keys(seed: int, start: int, stop: int, roles: tuple[str, ...]) -> np.ndarray:
-    """Key table of one scheduling batch. A process derives it on the first
-    chunk it claims from the batch and reads every later chunk from it."""
-    keys = trial_keys(seed, start, stop, roles)
-    keys.flags.writeable = False  # shared by every chunk that reads it
-    return keys
-
-
 class _Draws(NamedTuple):
     """The scale-free draws of a chunk of trials, stacked on axis 0.
 
@@ -385,16 +376,9 @@ def _ber_chunk(cfg: ExperimentConfig, keys: np.ndarray):
     return observed, x_hat, wrong.sum(axis=1)
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int, keys=None) -> tuple[int, int]:
-    """One detection trial on fresh draws; returns (bit_errors, bits).
-
-    The one-trial view of the BER chunk kernel. keys: the trial's row of its
-    batch's key table, derived here when None.
-    """
-    if keys is None:
-        keys = trial_keys(cfg.master_seed, trial_index, trial_index + 1, _ROLES[cfg.scheme])[0]
-    errors = _ber_chunk(cfg, keys[None])[2]
-    return int(errors[0]), cfg.n * _alphabet(cfg.order).bits_per_symbol
+def run_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[int, int]:
+    """One detection trial on fresh draws; returns (bit_errors, bits)."""
+    return _ber_block(cfg, trial_index, trial_index + 1)
 
 
 def run_variance_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -405,29 +389,28 @@ def run_variance_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[np.ndar
     return s_hat[0], shared.s[0]
 
 
-def _ber_block(cfg: ExperimentConfig, start: int, stop: int, lo: int, hi: int) -> tuple[int, int]:
-    """(bit errors, bits) of trials lo..hi-1 of the batch start..stop-1.
+def _ber_block(cfg: ExperimentConfig, lo: int, hi: int) -> tuple[int, int]:
+    """(bit errors, bits) of trials lo..hi-1.
 
     Trials run in stacked chunks of at most _BER_ENTRIES channel entries.
     """
-    keys = _batch_keys(cfg.master_seed, start, stop, _ROLES[cfg.scheme])
+    keys = trial_keys(cfg.master_seed, lo, hi, _ROLES[cfg.scheme])
     step = max(1, _BER_ENTRIES // (cfg.m * cfg.n))
-    errors = sum(int(_ber_chunk(cfg, keys[a - start:min(a + step, hi) - start])[2].sum())
-                 for a in range(lo, hi, step))
+    errors = sum(int(_ber_chunk(cfg, keys[a:a + step])[2].sum()) for a in range(0, hi - lo, step))
     return errors, (hi - lo) * cfg.n * _alphabet(cfg.order).bits_per_symbol
 
 
-def _variance_block(job, start: int, stop: int, lo: int, hi: int) -> np.ndarray:
+def _variance_block(job, lo: int, hi: int) -> np.ndarray:
     """||s_hat - s||^2 of trials lo..hi-1 at each point: shape (points, hi - lo).
 
     job is (cfg, points), each point an (rsr_db, sigma_v_sq, phi) triple.
     Trials run in stacked chunks of at most _VARIANCE_ROWS receiver rows.
     """
     cfg, points = job
-    keys = _batch_keys(cfg.master_seed, start, stop, _ROLES["prss"])
+    keys = trial_keys(cfg.master_seed, lo, hi, _ROLES["prss"])
     step = max(1, _VARIANCE_ROWS // cfg.m)
-    chunks = [keys[a - start:min(a + step, hi) - start] for a in range(lo, hi, step)]
-    return np.concatenate([_variance_chunk(cfg, k, points) for k in chunks], axis=1)
+    return np.concatenate([_variance_chunk(cfg, keys[a:a + step], points)
+                           for a in range(0, hi - lo, step)], axis=1)
 
 
 def _variance_chunk(cfg: ExperimentConfig, keys: np.ndarray, points) -> np.ndarray:
@@ -546,8 +529,8 @@ _CHUNKS_PER_PROCESS = 2
 
 def _take(counter, block, arg, start: int, stop: int, width: int) -> dict:
     """Claim chunks of the batch start..stop-1 from the shared counter until
-    it reaches stop; return {lo: block(arg, start, stop, lo, hi)} for the
-    chunks lo..hi-1 this process claimed.
+    it reaches stop; return {lo: block(arg, lo, hi)} for the chunks lo..hi-1
+    this process claimed.
 
     Every chunk holds ceil((stop - start) / (_CHUNKS_PER_PROCESS * width))
     trials, except the batch's remainder.
@@ -560,7 +543,7 @@ def _take(counter, block, arg, start: int, stop: int, width: int) -> dict:
             counter.value = hi = min(stop, lo + size)
         if lo >= stop:
             return done
-        done[lo] = block(arg, start, stop, lo, hi)
+        done[lo] = block(arg, lo, hi)
 
 
 # a worker starts with Ctrl-C held off (see _sigint_held) where the platform can
@@ -652,11 +635,11 @@ class _Workers:
         return self
 
     def map(self, block, arg, start: int, stop: int) -> list:
-        """block(arg, start, stop, lo, hi) over chunks lo..hi-1 that cover the
-        batch start..stop-1, in trial order: the whole batch as one chunk
-        here, or the chunks that the processes claimed."""
+        """block(arg, lo, hi) over chunks lo..hi-1 that cover the batch
+        start..stop-1, in trial order: the whole batch as one chunk here, or
+        the chunks that the processes claimed."""
         if not self.conns:
-            return [block(arg, start, stop, start, stop)]
+            return [block(arg, start, stop)]
         self.counter.value = start
         for conn in self.conns:
             conn.send((block, arg, start, stop))

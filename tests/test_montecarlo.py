@@ -151,8 +151,7 @@ def test_trials_derive_only_the_streams_they_use(monkeypatch):
         assert [sorted(roles) for roles in derived] == [sorted(streams)], scheme
         # a BER batch derives the same roles, once for the whole batch
         derived.clear()
-        montecarlo._batch_keys.cache_clear()
-        montecarlo._ber_block(ExperimentConfig(m=4, n=2, scheme=scheme), 0, 5, 0, 5)
+        montecarlo._ber_block(ExperimentConfig(m=4, n=2, scheme=scheme), 0, 5)
         assert [sorted(roles) for roles in derived] == [sorted(streams)], scheme
     derived.clear()
     run_variance_trial(ExperimentConfig(m=4, n=2), 3)
@@ -192,8 +191,8 @@ def test_batched_variance_matches_per_trial_oracle(monkeypatch, m, n, phi, chunk
     monkeypatch.setattr(montecarlo, "_VARIANCE_ROWS", chunk * m)
     cfg = ExperimentConfig(m=m, n=n, rsr_db=25.0, sigma_v_sq=0.05, phi=phi, master_seed=31)
     points = [(cfg.rsr_db, cfg.sigma_v_sq, phi)]
-    # trials 8..24 of the batch 5..24: chunks end mid-batch and mid-chunk
-    got = montecarlo._variance_block((cfg, points), 5, 25, 8, 25)
+    # trials 8..24: they start mid-batch, and the last chunk may run short
+    got = montecarlo._variance_block((cfg, points), 8, 25)
     assert got.shape == (1, 17)
     want = [_oracle_variance(cfg, t) for t in range(8, 25)]
     assert got[0].tobytes() == np.array(want).tobytes()
@@ -202,7 +201,7 @@ def test_batched_variance_matches_per_trial_oracle(monkeypatch, m, n, phi, chunk
 def test_batched_variance_points_share_draws():
     cfg = ExperimentConfig(m=16, n=2, master_seed=32)
     points = [(rsr, sv, PI / 2) for sv in (0.1, 0.0) for rsr in (15.0, 40.0)]
-    got = montecarlo._variance_block((cfg, points), 0, 7, 0, 7)
+    got = montecarlo._variance_block((cfg, points), 0, 7)
     for p, (rsr, sv, phi) in enumerate(points):
         point = replace(cfg, rsr_db=rsr, sigma_v_sq=sv, phi=phi)
         assert got[p].tobytes() == np.array([_oracle_variance(point, t) for t in range(7)]).tobytes()
@@ -309,7 +308,7 @@ def test_ber_chunks_match_one_trial_oracle(case, chunk):
         assert x_hat[t].tobytes() == xh.tobytes(), t
         assert (int(errors[t]), bits) == (e, b), t
     total = sum(e for _, _, e, _ in want)
-    assert montecarlo._ber_block(cfg, 0, _CHUNK_TRIALS, 0, _CHUNK_TRIALS) == (
+    assert montecarlo._ber_block(cfg, 0, _CHUNK_TRIALS) == (
         total, _CHUNK_TRIALS * bits)
     if case == "prss_ml_noiseless":
         assert total == 0
@@ -416,7 +415,7 @@ def test_ber_sweep_serial_parallel_identical():
 _barrier = None  # set before the workers fork, so each inherits it
 
 
-def _worker_threads(cfg, start, stop, lo, hi):
+def _worker_threads(cfg, lo, hi):
     """(pid, OpenBLAS threads, OS threads) of the process that runs trial lo."""
     _barrier.wait(timeout=60)  # every process holds one trial: none takes two
     return os.getpid(), montecarlo._blas_threads().get(), len(os.listdir("/proc/self/task"))
@@ -436,7 +435,7 @@ def test_pool_workers_use_one_blas_thread():
     assert here[0] == 1  # the caller runs its trial on one BLAS thread too
 
 
-def _trial_indices(refuse_odd, start, stop, lo, hi):
+def _trial_indices(refuse_odd, lo, hi):
     if refuse_odd and lo % 2:
         raise ValueError(f"trial {lo}")
     return list(range(lo, hi))
@@ -485,7 +484,7 @@ def test_parallel_without_blas_control_matches_serial(monkeypatch):
 ])
 def test_chunks_cover_the_batch_in_order_and_none_is_a_sliver(start, stop, width):
     counter = multiprocessing.Value("q", start)
-    claimed = montecarlo._take(counter, lambda arg, a, b, lo, hi: hi, None, start, stop, width)
+    claimed = montecarlo._take(counter, lambda arg, lo, hi: hi, None, start, stop, width)
     bounds = [start, *(claimed[lo] for lo in sorted(claimed))]
     assert sorted(claimed) == bounds[:-1] and bounds[-1] == stop  # contiguous, in order
     sizes = np.diff(bounds)
@@ -500,7 +499,7 @@ _RUN_SCRIPT = """
 import os, sys, time
 from ramimo import montecarlo
 
-def slow(seconds, start, stop, lo, hi):
+def slow(seconds, lo, hi):
     print("chunk", os.getpid(), flush=True)
     time.sleep(seconds * (hi - lo))
     return lo
