@@ -287,20 +287,23 @@ def _tie_break(s_hat, H, c, trial, index) -> np.ndarray:
 def zf_linear(s_hat: np.ndarray, H: np.ndarray, c: Constellation) -> np.ndarray:
     """Least-squares equalization followed by per-element quantization.
 
-    The least-squares x solves R[:N, :N] x = R[:N, N] from the R-only QR of
+    s_hat (M,) and H (M, N) give x_hat (N,); stacks s_hat (T, M) and
+    H (T, M, N) give (T, N), each row what its trial gives alone. The
+    least-squares x solves R[:N, :N] x = R[:N, N] from the R-only QR of
     [H | s_hat] (`_qr_r`), so its error grows with cond(H), not cond(H)^2 as
-    the normal equations' would. The SVD guard refuses cond(H) > COND_LIMIT.
+    the normal equations' would. The SVD guard refuses any trial with
+    cond(H) > COND_LIMIT.
     """
     H = np.asarray(H)
     s_hat = np.asarray(s_hat, dtype=complex)
-    M, n = H.shape
+    M, n = H.shape[-2:]
     if n > M:
         raise ValueError(f"underdetermined channel: N={n} > M={M}")
     sv = np.linalg.svd(H, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] > COND_LIMIT * sv[-1]:
+    if np.any((sv[..., -1] == 0.0) | (sv[..., 0] > COND_LIMIT * sv[..., -1])):
         raise IllConditionedChannelError("channel condition number exceeds 1e12")
-    r = _qr_r(s_hat[None], H[None])[0]
-    return quantize(np.linalg.solve(r[:n, :n], r[:n, n]), c)
+    r = _qr_r(s_hat, H)
+    return quantize(np.linalg.solve(r[..., :n, :n], r[..., :n, n, None])[..., 0], c)
 
 
 def ml_single_shot(z: np.ndarray, H: np.ndarray, r: np.ndarray, c: Constellation) -> np.ndarray:

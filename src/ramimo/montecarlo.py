@@ -10,13 +10,12 @@ compared pathwise across points.
 
 Each block of trials that a process claims derives its own stream keys
 (`trial_keys`) and draws a trial's streams from one restarted generator
-(`keyed_rng`), each into its row of a chunk buffer per role. Every other step runs stacked, a chunk of
-trials per numpy call: the draws' elementwise steps; the frontend,
-reconstruction and squared error of a variance chunk, whose points compute
-what they share once (`_Shared`); the frontend,
-reconstruction, ML detection, demapping and bit counting of a BER chunk (ZF
-still solves one trial at a time inside it). A stacked value is bit for bit
-what its trial gives alone.
+(`keyed_rng`), each into its row of a chunk buffer per role. Every other
+step runs stacked, a chunk of trials per numpy call: the draws' elementwise
+steps; the frontend, reconstruction and squared error of a variance chunk,
+whose points compute what they share once (`_Shared`); the frontend,
+reconstruction, detection, demapping and bit counting of a BER chunk. A
+stacked value is bit for bit what its trial gives alone.
 
 A run with W workers forks W - 1 worker processes, and the calling process
 runs trials beside them. While the workers exist, all W processes run
@@ -368,10 +367,8 @@ def _ber_chunk(cfg: ExperimentConfig, keys: np.ndarray):
             observed = received(draws.H, draws.x) + noise_scale(cfg.sigma_v_sq) * draws.w1
         else:
             observed = _recover(_Shared(draws, cfg.n), cfg.rsr_db, cfg.sigma_v_sq, cfg.phi)
-        if cfg.detector == "ml":
-            x_hat = ml_linear_stacked(observed, draws.H, c)
-        else:
-            x_hat = np.array([zf_linear(s, H, c) for s, H in zip(observed, draws.H)])
+        detector = ml_linear_stacked if cfg.detector == "ml" else zf_linear
+        x_hat = detector(observed, draws.H, c)
     wrong = demap(x_hat.ravel(), c).reshape(draws.bits.shape) != draws.bits
     return observed, x_hat, wrong.sum(axis=1)
 

@@ -374,6 +374,33 @@ def test_zf_refuses_condition_beyond_the_guard():
             zf_linear(H @ C4.points[rng.integers(0, 4, 8)], H, C4)
 
 
+@pytest.mark.parametrize("m,n", [(8, 4), (16, 4), (5, 5), (32, 16)])
+def test_stacked_zf_matches_one_trial_calls(m, n):
+    rng = np.random.default_rng(m * n)
+    t = 12
+    H = np.sqrt(0.5 / n) * (rng.standard_normal((t, m, n)) + 1j * rng.standard_normal((t, m, n)))
+    x = C16.points[rng.integers(0, 16, (t, n))]
+    s_hat = np.einsum("tmn,tn->tm", H, x)
+    s_hat += 0.2 * (rng.standard_normal((t, m)) + 1j * rng.standard_normal((t, m)))
+    got = zf_linear(s_hat, H, C16)
+    assert got.shape == (t, n)
+    for k in range(t):
+        one = zf_linear(s_hat[k], H[k], C16)
+        assert one.shape == (n,) and got[k].tobytes() == one.tobytes(), k
+        # a one-trial call keeps the bits of its unstacked solve
+        r = detect._qr_r(s_hat[k][None], H[k][None])[0]
+        assert one.tobytes() == quantize(np.linalg.solve(r[:n, :n], r[:n, n]), C16).tobytes()
+
+
+def test_zf_stack_refuses_one_trial_beyond_the_guard():
+    rng = np.random.default_rng(14)
+    H = np.stack([_conditioned_channel(rng, 16, 8, cond) for cond in (10.0, 1e3, 1e13, 1e2)])
+    s_hat = np.einsum("tmn,tn->tm", H, C4.points[rng.integers(0, 4, (4, 8))])
+    with pytest.raises(IllConditionedChannelError):
+        zf_linear(s_hat, H, C4)
+    zf_linear(s_hat[[0, 1, 3]], H[[0, 1, 3]], C4)  # the other trials pass the guard
+
+
 def test_zf_metric_never_beats_ml():
     rng = np.random.default_rng(4)
     for _ in range(30):
