@@ -60,31 +60,19 @@ def _mix(x, y):
 @lru_cache(maxsize=16)
 def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     """SeedSequence's entropy pool after the seed words and the trial-domain
-    word of the spawn key, and the hash constant it reached."""
+    word of the spawn key, and the hash constant it reached.
+
+    The pool is numpy's own. The constant takes one hash step per pool word,
+    one per ordered pair of distinct pool words, and one per pool word for
+    each entropy word past the pool size: the seed's 32-bit words, padded
+    to the pool size, then the spawn key's one word.
+    """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    words = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    # a spawn key follows the seed words, which are padded to the pool size
-    words += [0] * (_POOL_SIZE - len(words)) + [_TRIAL_DOMAIN]
-    hash_const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        before, hash_const = hash_const, hash_const * _MULT_A & _MASK32
-        return _hashmix(value, before, hash_const)
-
-    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    return tuple(pool), hash_const
+    pool = np.random.SeedSequence(seed, spawn_key=(_TRIAL_DOMAIN,)).pool
+    words = max(-(-seed.bit_length() // 32), _POOL_SIZE) + 1
+    steps = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * (words - _POOL_SIZE)
+    return tuple(pool.tolist()), _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
 
 
 def trial_keys(seed: int, start: int, stop: int, roles) -> np.ndarray:

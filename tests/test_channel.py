@@ -110,7 +110,7 @@ def test_point_seed_derivation_stable():
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
-    seed=st.integers(0, 2**130),
+    seed=st.integers(0, 2**256),
     trial=st.integers(0, MAX_TRIALS - 1),
     roles=st.permutations(sorted(STREAM_IDS)),
 )
@@ -121,7 +121,8 @@ def test_trial_keys_match_seed_sequence(seed, trial, roles):
         assert np.array_equal(keys[0, j], _seed_sequence_key(seed, trial, role)), role
 
 
-@pytest.mark.parametrize("seed", [0, 104, 20260808, 2**63 + 12345, 2**128 - 1, 2**128, 2**130])
+@pytest.mark.parametrize("seed", [0, 104, 20260808, 2**63 + 12345, 2**128 - 1, 2**128, 2**130,
+                                  2**255 + 1])
 def test_trial_key_blocks_match_seed_sequence(seed):
     roles = ("noise2", "bits", "channel")
     for start, stop in ((0, 40), (77, 78), (MAX_TRIALS - 5, MAX_TRIALS)):
