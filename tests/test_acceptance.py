@@ -10,23 +10,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from ramimo import (
-    ExperimentConfig,
-    demap,
-    draw_channel,
-    draw_noise,
-    draw_reference,
-    make_qam,
-    modulate,
-    observe_single,
-    quantize,
-    run_ber_sweep,
-    run_phi_sweep,
-    run_rsr_sweep,
-    stream_rng,
-)
+from ramimo.channel import draw_channel, draw_noise, draw_reference, stream_rng
 from ramimo.cli import main
-from ramimo.montecarlo import run_trial, snr_db_to_sigma_v_sq
+from ramimo.constellation import demap, make_qam, modulate, quantize
+from ramimo.frontend import observe_single
+from ramimo.montecarlo import (
+    ExperimentConfig, run_ber_sweep, run_phi_sweep, run_rsr_sweep, run_trial,
+    snr_db_to_sigma_v_sq,
+)
 from ramimo.reconstruct import predicted_mse
 
 PI = math.pi
@@ -224,14 +215,10 @@ def test_criterion_6_oracle_equivalences():
     import itertools
 
     from oracles import build_measurement_matrix, lapack_reconstruct
-    from ramimo import (
-        make_qam,
-        ml_linear,
-        observe_prss,
-        predicted_trace,
-        reconstruct_general,
-        zf_linear,
-    )
+    from ramimo.constellation import make_qam
+    from ramimo.detect import ml_linear, zf_linear
+    from ramimo.frontend import observe_prss
+    from ramimo.reconstruct import predicted_trace, reconstruct_general
 
     rng = np.random.default_rng(106)
     # ml_linear vs explicit enumeration, 200 instances with J^N <= 256

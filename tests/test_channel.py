@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramimo import (
+from ramimo.channel import (
+    MAX_TRIALS,
+    STREAM_IDS,
     derive_point_seed,
     draw_channel,
     draw_noise,
     draw_reference,
+    keyed_rng,
     stream_rng,
+    trial_keys,
 )
-from ramimo.channel import MAX_TRIALS, STREAM_IDS, keyed_rng, trial_keys
 
 
 def _seed_sequence_key(seed, trial, role):

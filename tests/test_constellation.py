@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ramimo import demap, make_qam, modulate, quantize
+from ramimo.constellation import demap, make_qam, modulate, quantize
 
 
 def _label(c, i: int) -> str:

@@ -7,23 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramimo import (
-    ExperimentConfig,
-    IllConditionedChannelError,
-    SearchBudgetError,
-    make_qam,
-    ml_linear,
-    ml_single_shot,
-    quantize,
-    zf_linear,
-)
 from ramimo import detect
 from ramimo.channel import trial_keys
+from ramimo.constellation import make_qam, quantize
 from ramimo.detect import (
-    DEFAULT_SEARCH_BUDGET, _candidate_count, _residual_norms, ml_linear_stacked,
-    ml_single_shot_stacked,
+    DEFAULT_SEARCH_BUDGET, IllConditionedChannelError, SearchBudgetError, _candidate_count,
+    _residual_norms, ml_linear, ml_linear_stacked, ml_single_shot, ml_single_shot_stacked,
+    zf_linear,
 )
-from ramimo.montecarlo import _ROLES, _draws, _recover, _Shared, snr_db_to_sigma_v_sq
+from ramimo.montecarlo import (
+    _ROLES, ExperimentConfig, _draws, _recover, _Shared, snr_db_to_sigma_v_sq,
+)
 
 C4 = make_qam(4)
 C16 = make_qam(16)

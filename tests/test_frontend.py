@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ramimo import observe_prss, observe_single
+from ramimo.frontend import observe_prss, observe_single
 
 
 def test_scalar_magnitude():

@@ -14,34 +14,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramimo import (
-    ExperimentConfig,
-    demap,
-    draw_channel,
-    draw_noise,
-    draw_reference,
-    make_qam,
-    modulate,
-    observe_prss,
-    observe_single,
-    reconstruct_general,
-    run_ber_sweep,
-    run_phi_sweep,
-    run_rsr_sweep,
-    stream_rng,
-    zf_linear,
-)
 from ramimo import montecarlo
-from ramimo.channel import MAX_TRIALS, STREAM_IDS, draw_bits, keyed_rng, trial_keys
-from ramimo.detect import _residual_norms, ml_linear_stacked, ml_single_shot_stacked
+from ramimo.channel import (
+    MAX_TRIALS, STREAM_IDS, draw_bits, draw_channel, draw_noise, draw_reference, keyed_rng,
+    stream_rng, trial_keys,
+)
+from ramimo.constellation import demap, make_qam, modulate
+from ramimo.detect import _residual_norms, ml_linear_stacked, ml_single_shot_stacked, zf_linear
+from ramimo.frontend import observe_prss, observe_single
 from ramimo.montecarlo import (
     BATCH_TRIALS,
     BerEstimate,
+    ExperimentConfig,
     default_phi_grid,
+    run_ber_sweep,
+    run_phi_sweep,
+    run_rsr_sweep,
     run_trial,
     run_variance_trial,
     snr_db_to_sigma_v_sq,
 )
+from ramimo.reconstruct import reconstruct_general
 
 PI = np.pi
 

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramimo.reconstruct
-from ramimo import (
+from ramimo.frontend import observe_prss
+from ramimo.reconstruct import (
     DegenerateReferenceError,
     SingularOffsetError,
-    observe_prss,
     predicted_mse,
     predicted_trace,
     reconstruct_general,
