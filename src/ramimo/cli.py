@@ -88,10 +88,8 @@ def _g(x) -> str:
     return format(float(x), ".12g")
 
 
-def _float_list(text) -> tuple[float, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    text = str(text).strip()
+def _float_list(text: str) -> tuple[float, ...]:
+    text = text.strip()
     if not text:
         return ()
     try:

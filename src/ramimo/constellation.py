@@ -81,8 +81,6 @@ def modulate(bits: np.ndarray, c: Constellation) -> np.ndarray:
     k = c.bits_per_symbol
     if bits.ndim != 1 or bits.size % k:
         raise ValueError(f"bit count {bits.size} is not a multiple of {k}")
-    if bits.size == 0:
-        return np.zeros(0, dtype=complex)
     groups = bits.reshape(-1, k)
     idx = groups @ (1 << np.arange(k - 1, -1, -1))
     return c.points[idx]
@@ -109,8 +107,6 @@ def demap(symbols: np.ndarray, c: Constellation) -> np.ndarray:
         ValueError: If any symbol is not a point of the alphabet.
     """
     symbols = np.asarray(symbols, dtype=complex)
-    if symbols.size == 0:
-        return np.zeros(0, dtype=np.int64)
     hits = symbols[:, None] == c.points
     found = hits.any(axis=1)
     if not found.all():

@@ -58,7 +58,9 @@ def test_gray_adjacency(order):
 
 def test_modulate_empty():
     c = make_qam(4)
-    assert modulate(np.array([], dtype=int), c).size == 0
+    empty = modulate(np.array([], dtype=int), c)
+    assert empty.size == 0
+    assert empty.dtype == complex and empty.shape == (0,)
 
 
 def test_modulate_by_label():
@@ -116,6 +118,8 @@ def test_quantize_idempotent():
 
 def test_demap_empty_and_offgrid():
     c = make_qam(4)
-    assert demap(np.array([], dtype=complex), c).size == 0
+    empty = demap(np.array([], dtype=complex), c)
+    assert empty.size == 0
+    assert empty.dtype == np.int64 and empty.shape == (0,)
     with pytest.raises(ValueError):
         demap(np.array([0.5 + 0.5j]), c)
