@@ -188,10 +188,11 @@ def _load_config_layer(path: str, command: str) -> dict:
 
 def _coerce(value, kind: type, where: str):
     """A config file's value as the type of its key's default. An integer key
-    refuses a fractional, non-finite or boolean number rather than truncate it."""
-    if kind is int and (isinstance(value, bool)
-                        or isinstance(value, float) and not value.is_integer()):
-        raise UsageError(f"{where} = {value!r} is not a valid int")
+    refuses a fractional, non-finite or boolean number rather than truncate it,
+    and no key takes a JSON list or object (a number list is one string)."""
+    if isinstance(value, (list, dict)) or kind is int and (
+            isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+        raise UsageError(f"{where} = {value!r} is not a valid {kind.__name__}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:

@@ -147,6 +147,10 @@ BAD_CONFIGS = {
     # an integer key refuses a fraction instead of truncating it
     "fraction_m.json": (json.dumps({"command": "rsr-sweep", "config": {"m": 4.7}}), "m = 4.7"),
     "bool_samples.json": (json.dumps({"config": {"samples": True}}), "samples = True"),
+    # a number list is one comma-separated string; no key takes a JSON list or object
+    "list_snr.json": (json.dumps({"config": {"snr_db_list": [4, 8]}}), "snr_db_list = [4, 8]"),
+    "list_scheme.json": (json.dumps({"config": {"scheme": ["prss"]}}), "scheme = ['prss']"),
+    "object_grid.json": (json.dumps({"config": {"phi_grid": {"a": 1}}}), "phi_grid = {'a': 1}"),
 }
 # config paths that are directories, so they cannot be read
 BAD_CONFIG_DIRS = ("dir_config", "dir_config.json")
@@ -198,6 +202,9 @@ BAD_CONFIG_DIRS = ("dir_config", "dir_config.json")
     ["trace-curve", "--m", "5"],
     ["trace-curve", "--qam", "99"],
     ["trace-curve", "--seed", "-4"],
+    ["ber", "--config", "list_snr.json"],
+    ["ber", "--config", "list_scheme.json"],
+    ["phi-sweep", "--config", "object_grid.json"],
 ])
 def test_bad_input_refused_before_any_trial(tmp_path, argv, capsys):
     for name, (text, _) in BAD_CONFIGS.items():
