@@ -187,11 +187,12 @@ def _load_config_layer(path: str, command: str) -> dict:
 
 
 def _coerce(value, kind: type, where: str):
-    """A config file's value as the type of its key's default. An integer key
-    refuses a fractional, non-finite or boolean number rather than truncate it,
-    and no key takes a JSON list or object (a number list is one string)."""
-    if isinstance(value, (list, dict)) or kind is int and (
-            isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+    """A config file's value as the type of its key's default. Only a string
+    or a number is a value (a number list is one string): a JSON list, object,
+    null or boolean is refused, and so is a fractional or non-finite number
+    for an integer key, rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)) or (
+            kind is int and isinstance(value, float) and not value.is_integer()):
         raise UsageError(f"{where} = {value!r} is not a valid {kind.__name__}")
     try:
         return kind(value)

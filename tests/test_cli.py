@@ -151,6 +151,8 @@ BAD_CONFIGS = {
     "list_snr.json": (json.dumps({"config": {"snr_db_list": [4, 8]}}), "snr_db_list = [4, 8]"),
     "list_scheme.json": (json.dumps({"config": {"scheme": ["prss"]}}), "scheme = ['prss']"),
     "object_grid.json": (json.dumps({"config": {"phi_grid": {"a": 1}}}), "phi_grid = {'a': 1}"),
+    "null_snr.json": (json.dumps({"config": {"snr_db_list": None}}), "snr_db_list = None"),
+    "bool_rsr.json": (json.dumps({"config": {"rsr_db": True}}), "rsr_db = True"),
 }
 # config paths that are directories, so they cannot be read
 BAD_CONFIG_DIRS = ("dir_config", "dir_config.json")
@@ -205,6 +207,8 @@ BAD_CONFIG_DIRS = ("dir_config", "dir_config.json")
     ["ber", "--config", "list_snr.json"],
     ["ber", "--config", "list_scheme.json"],
     ["phi-sweep", "--config", "object_grid.json"],
+    ["ber", "--config", "null_snr.json"],
+    ["ber", "--config", "bool_rsr.json"],
 ])
 def test_bad_input_refused_before_any_trial(tmp_path, argv, capsys):
     for name, (text, _) in BAD_CONFIGS.items():
