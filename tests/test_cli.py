@@ -147,7 +147,7 @@ BAD_CONFIGS = {
     # an integer key refuses a fraction instead of truncating it
     "fraction_m.json": (json.dumps({"command": "rsr-sweep", "config": {"m": 4.7}}), "m = 4.7"),
     "bool_samples.json": (json.dumps({"config": {"samples": True}}), "samples = True"),
-    # a number list is one comma-separated string; no key takes a JSON list or object
+    # a value is a string or a number; a number list is one comma-separated string
     "list_snr.json": (json.dumps({"config": {"snr_db_list": [4, 8]}}), "snr_db_list = [4, 8]"),
     "list_scheme.json": (json.dumps({"config": {"scheme": ["prss"]}}), "scheme = ['prss']"),
     "object_grid.json": (json.dumps({"config": {"phi_grid": {"a": 1}}}), "phi_grid = {'a': 1}"),
