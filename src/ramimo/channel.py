@@ -151,11 +151,6 @@ def _check_dims(M: int, N: int) -> None:
         raise ValueError(f"dimensions must be positive, got M={M}, N={N}")
 
 
-def draw_bits(count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `count` fair bits (int64 zeros and ones)."""
-    return rng.integers(0, 2, count)
-
-
 def draw_complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
     """a + 1j*b with a, then b, drawn i.i.d. standard normal: the unscaled
     draw behind the channel and the noise."""

@@ -75,10 +75,14 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _checked_config(**kwargs) -> ExperimentConfig:
-    """Build a config, reporting validation failures as usage errors."""
+def _checked_config(resolved: dict, **fields) -> ExperimentConfig:
+    """A trial command's config: m, n, qam, seed and threads from `resolved`,
+    the rest from `fields`; validation failures are usage errors."""
     try:
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(
+            m=resolved["m"], n=resolved["n"], qam_order=resolved["qam"],
+            master_seed=resolved["seed"], workers=resolved["threads"], **fields,
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -248,8 +252,8 @@ def _write_manifest(path: str, command: str, resolved: dict, outputs: list[str])
         fh.write("\n")
 
 
-def _phi_grid_from(resolved: dict) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(usable, skipped) offsets of the requested grid; warns about each skipped one."""
+def _phi_grid_from(resolved: dict) -> tuple[tuple[float, ...], list[str]]:
+    """Usable offsets of the requested grid, and a CSV comment per skipped one (warned about)."""
     requested = _float_list(resolved["phi_grid"]) or default_phi_grid()
     if not all(math.isfinite(p) for p in requested):
         raise UsageError(f"phi grid must hold finite numbers, got {requested}")
@@ -258,23 +262,21 @@ def _phi_grid_from(resolved: dict) -> tuple[tuple[float, ...], tuple[float, ...]
         print(f"warning: skipping phi={p!r}: singular offset", file=sys.stderr)
     if not usable:
         raise UsageError("phi grid contains no usable (non-singular) offsets")
-    return usable, skipped
+    return usable, [f"skipped phi={_g(p)}: singular offset" for p in skipped]
 
 
 def _cmd_phi_sweep(resolved: dict) -> tuple[list, list[str]]:
-    usable, skipped = _phi_grid_from(resolved)
+    usable, comments = _phi_grid_from(resolved)
     cfg = _checked_config(
-        m=resolved["m"], n=resolved["n"], scheme="prss", qam_order=resolved["qam"],
-        rsr_db=resolved["rsr_db"], sigma_v_sq=resolved["sigma_v_sq"],
-        phi_list=usable, samples=resolved["samples"],
-        master_seed=resolved["seed"], workers=resolved["threads"],
+        resolved, scheme="prss", rsr_db=resolved["rsr_db"],
+        sigma_v_sq=resolved["sigma_v_sq"], phi_list=usable, samples=resolved["samples"],
     )
     records = run_phi_sweep(cfg)
     rows = [
         [_g(r.phi), _g(r.sigma_ve_sq), _g(r.sigma_v_sq), _g(r.rsr_db), r.samples, r.seed]
         for r in records
     ]
-    return rows, [f"skipped phi={_g(p)}: singular offset" for p in skipped]
+    return rows, comments
 
 
 def _cmd_rsr_sweep(resolved: dict) -> tuple[list, list[str]]:
@@ -283,9 +285,8 @@ def _cmd_rsr_sweep(resolved: dict) -> tuple[list, list[str]]:
     if not rsr_list or not sv_list:
         raise UsageError("rsr-db-list and sigma-v-sq-list must not be empty")
     cfg = _checked_config(
-        m=resolved["m"], n=resolved["n"], scheme="prss", qam_order=resolved["qam"],
-        rsr_db_list=rsr_list, sigma_v_sq_list=sv_list, samples=resolved["samples"],
-        master_seed=resolved["seed"], workers=resolved["threads"],
+        resolved, scheme="prss", rsr_db_list=rsr_list, sigma_v_sq_list=sv_list,
+        samples=resolved["samples"],
     )
     records = run_rsr_sweep(cfg)
     rows = [
@@ -300,11 +301,9 @@ def _cmd_ber(resolved: dict) -> tuple[list, list[str]]:
     if not snr_list:
         raise UsageError("snr-db-list must not be empty")
     cfg = _checked_config(
-        m=resolved["m"], n=resolved["n"], scheme=resolved["scheme"],
-        detector=resolved["detector"], qam_order=resolved["qam"],
+        resolved, scheme=resolved["scheme"], detector=resolved["detector"],
         rsr_db=resolved["rsr_db"], phi=resolved["phi"], snr_db_list=snr_list,
         trials=resolved["trials"], target_errors=resolved["target_errors"],
-        master_seed=resolved["seed"], workers=resolved["threads"],
     )
     records = run_ber_sweep(cfg)
     rows = [
@@ -323,12 +322,12 @@ def _cmd_trace_curve(resolved: dict) -> tuple[list, list[str]]:
         raise UsageError(f"u-mod must be finite and > 0, got {u_mod}")
     if not (math.isfinite(sv) and sv >= 0):
         raise UsageError(f"sigma-v-sq must be finite and >= 0, got {sv}")
-    usable, skipped = _phi_grid_from(resolved)
+    usable, comments = _phi_grid_from(resolved)
     rows = [
         [_g(p), _g(predicted_trace(p, u_mod)), _g(predicted_mse(p, sv)), _g(sv), _g(u_mod)]
         for p in usable
     ]
-    return rows, [f"skipped phi={_g(p)}: singular offset" for p in skipped]
+    return rows, comments
 
 
 _RUNNERS = {

@@ -21,7 +21,7 @@ import numpy as np
 from .constellation import Constellation, quantize
 
 DEFAULT_SEARCH_BUDGET = 1 << 24
-_LATTICE = 1 << 16  # ml_single_shot candidates per block; smaller lattices are scored whole
+_LATTICE = 1 << 16  # ml_single_shot candidates per block
 _STACK = 1 << 15  # floats (256 KB) of tables or search nodes that one stacked step builds
 
 COND_LIMIT = 1e12
@@ -36,34 +36,26 @@ class IllConditionedChannelError(ValueError):
     """Channel matrix is rank deficient or numerically near-singular."""
 
 
-def _candidate_count(c: Constellation, n: int) -> int:
-    count = c.order**n
+def candidate_count(order: int, n: int) -> int:
+    """J^N candidates of an ML search over n users of an order-J alphabet;
+    SearchBudgetError if they exceed DEFAULT_SEARCH_BUDGET."""
+    count = order**n
     if count > DEFAULT_SEARCH_BUDGET:
         raise SearchBudgetError(
-            f"{c.order}^{n} = {count} candidates exceed the budget of {DEFAULT_SEARCH_BUDGET}"
+            f"{order}^{n} = {count} candidates exceed the budget of {DEFAULT_SEARCH_BUDGET}"
         )
     return count
+
+
+def check_determined(m: int, n: int) -> None:
+    """ValueError unless zero-forcing can separate n users on m receivers (n <= m)."""
+    if n > m:
+        raise ValueError(f"underdetermined channel: N={n} > M={m}")
 
 
 def _candidates(c: Constellation, n: int, index: np.ndarray) -> np.ndarray:
     """Candidate symbol vectors of the given indices: digit n of index t is (t // J^n) % J."""
     return c.points[(index[:, None] // c.order ** np.arange(n)) % c.order]
-
-
-_block_cache: dict[tuple, np.ndarray] = {}
-
-
-def _lattice(c: Constellation, n: int) -> np.ndarray:
-    """All J^n candidate vectors of n users as one cached, read-only block."""
-    key = (n, c.points.tobytes())
-    block = _block_cache.get(key)
-    if block is None:
-        if len(_block_cache) >= 16:
-            _block_cache.clear()
-        block = _candidates(c, n, np.arange(c.order**n))
-        block.flags.writeable = False
-        _block_cache[key] = block
-    return block
 
 
 def _residual_norms(s_hat: np.ndarray, H: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -190,8 +182,8 @@ def ml_linear_stacked(s_hat: np.ndarray, H: np.ndarray, c: Constellation) -> np.
     H = np.asarray(H)
     s_hat = np.asarray(s_hat, dtype=complex)
     trials, m, n = H.shape
-    _candidate_count(c, n)
     order = c.order
+    candidate_count(order, n)
     R = _qr_r(s_hat, H)
     k = R.shape[1]
     rv = R.view(float)
@@ -296,9 +288,8 @@ def zf_linear(s_hat: np.ndarray, H: np.ndarray, c: Constellation) -> np.ndarray:
     """
     H = np.asarray(H)
     s_hat = np.asarray(s_hat, dtype=complex)
-    M, n = H.shape[-2:]
-    if n > M:
-        raise ValueError(f"underdetermined channel: N={n} > M={M}")
+    m, n = H.shape[-2:]
+    check_determined(m, n)
     sv = np.linalg.svd(H, compute_uv=False)
     if np.any((sv[..., -1] == 0.0) | (sv[..., 0] > COND_LIMIT * sv[..., -1])):
         raise IllConditionedChannelError("channel condition number exceeds 1e12")
@@ -325,9 +316,10 @@ def ml_single_shot_stacked(z: np.ndarray, H: np.ndarray, r: np.ndarray,
     """`ml_single_shot` of each trial of a stack: z and r (T, M) and
     H (T, M, N) give x_hat (T, N).
 
-    Lattices of up to _LATTICE candidates are scored whole, for as many
-    trials at once as fit _STACK floats; larger ones one trial at a time, in
-    blocks of _LATTICE candidates. A metric has no tolerance behind it, so
+    One walk over the lattice: each block of at most _LATTICE candidates is
+    built once and scored for as many trials at once as fit _STACK floats. A
+    block's minimum replaces a trial's running one only if strictly lower,
+    so ties keep the lowest index. A metric has no tolerance behind it, so
     each one is computed as the one-trial product cand @ H.T would be: per
     trial the same BLAS product, and the squared norm of each row on its own.
     """
@@ -335,18 +327,15 @@ def ml_single_shot_stacked(z: np.ndarray, H: np.ndarray, r: np.ndarray,
     z = np.asarray(z, dtype=float)
     r = np.asarray(r)
     trials, m, n = H.shape
-    count = _candidate_count(c, n)
+    count = candidate_count(c.order, n)
     block = min(count, _LATTICE)
     per = max(1, _STACK // (2 * block * m))
-    best_index = np.empty(trials, dtype=np.int64)
-    for t0 in range(0, trials, per):
-        t1 = min(t0 + per, trials)
-        lows, found = [], []  # each block's minimum and its index, per trial
-        for lo in range(0, count, block):
-            if block == count:
-                cand = _lattice(c, n)
-            else:
-                cand = _candidates(c, n, np.arange(lo, min(lo + block, count)))
+    low = np.full(trials, np.inf)
+    best_index = np.zeros(trials, dtype=np.int64)
+    for lo in range(0, count, block):
+        cand = _candidates(c, n, np.arange(lo, min(lo + block, count)))
+        for t0 in range(0, trials, per):
+            t1 = min(t0 + per, trials)
             s = cand @ H[t0:t1].transpose(0, 2, 1)
             s += r[t0:t1, None]
             d = np.abs(s)
@@ -354,9 +343,8 @@ def ml_single_shot_stacked(z: np.ndarray, H: np.ndarray, r: np.ndarray,
             rows = d.reshape(-1, m)
             metrics = np.einsum("ij,ij->i", rows, rows).reshape(t1 - t0, -1)
             k = metrics.argmin(axis=1)
-            lows.append(metrics[np.arange(t1 - t0), k])
-            found.append(lo + k)
-        # argmin keeps the first block of a tie, which holds the lower index
-        best = np.argmin(lows, axis=0) if len(found) > 1 else 0
-        best_index[t0:t1] = np.array(found)[best, np.arange(t1 - t0)]
+            metric = metrics[np.arange(t1 - t0), k]
+            lower = metric < low[t0:t1]
+            low[t0:t1][lower] = metric[lower]
+            best_index[t0:t1][lower] = lo + k[lower]
     return _candidates(c, n, best_index)

@@ -46,7 +46,9 @@ from .channel import (
 # perfbench's tracer patches these names here
 from .channel import draw_channel, draw_noise, draw_reference, stream_rng  # noqa: F401
 from .constellation import demap, make_qam, modulate
-from .detect import DEFAULT_SEARCH_BUDGET, ml_linear_stacked, ml_single_shot_stacked, zf_linear
+from .detect import (
+    candidate_count, check_determined, ml_linear_stacked, ml_single_shot_stacked, zf_linear,
+)
 from .detect import ml_linear, ml_single_shot  # noqa: F401  (patched by perfbench's tracer)
 from .frontend import observe_single, readout, received, rotate
 from .frontend import observe_prss  # noqa: F401  (patched by perfbench's tracer)
@@ -162,13 +164,12 @@ class ExperimentConfig:
             for phi in (self.phi, *self.phi_list):
                 if abs(math.sin(phi)) < SIN_PHI_TOL:
                     raise ValueError(f"phi={phi!r} is a singular offset for prss (sin(phi) = 0)")
-        # a BER sweep's ML search must fit the budget; variance sweeps never detect
-        if (self.snr_db_list and self.detector == "ml"
-                and self.order**self.n > DEFAULT_SEARCH_BUDGET):
-            raise ValueError(
-                f"ml search over {self.order}^{self.n} = {self.order**self.n} candidates "
-                f"exceeds the budget of {DEFAULT_SEARCH_BUDGET}"
-            )
+        # a BER sweep's detector must accept its geometry; variance sweeps never detect
+        if self.snr_db_list:
+            if self.detector == "ml":
+                candidate_count(self.order, self.n)
+            else:
+                check_determined(self.m, self.n)
 
     @property
     def order(self) -> int:
@@ -243,10 +244,9 @@ def split_singular(grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(usable), tuple(skipped)
 
 
-def default_phi_grid(step: float = math.pi / 36) -> tuple[float, ...]:
-    """Offsets covering (-pi, pi] at the given step, singular points removed."""
-    count = round(math.pi / step)
-    return split_singular((np.arange(-count + 1, count + 1) * step).tolist())[0]
+def default_phi_grid() -> tuple[float, ...]:
+    """Offsets covering (-pi, pi] in steps of pi/36, singular points removed."""
+    return split_singular((np.arange(-35, 37) * (math.pi / 36)).tolist())[0]
 
 
 def _variance_trials(cfg: ExperimentConfig) -> int:
@@ -271,7 +271,7 @@ class _Draws(NamedTuple):
 
 
 def _fair_bits(keys, count: int) -> np.ndarray:
-    """`draw_bits(count, keyed_rng(key))` of each key, as rows (int64).
+    """`keyed_rng(key).integers(0, 2, count)` of each key, as rows (int64).
 
     integers(0, 2) draws by Lemire's method, which for a range of 2 is the
     top bit of a uint32, and Philox hands out a raw 64-bit word's low half
@@ -292,7 +292,7 @@ def _draws(cfg: ExperimentConfig, keys: np.ndarray, roles: tuple[str, ...]) -> _
     buffer per role; the elementwise steps that turn them into channels,
     phasors and noise then run once per chunk. They are the steps of
     `draw_channel`, `draw_phasors` and `draw_complex_normal` on each row, so
-    every value is bit for bit what those and `draw_bits` give per trial.
+    every value is bit for bit what those and `integers(0, 2)` give per trial.
     """
     c = _alphabet(cfg.order)
     trials, m, n = len(keys), cfg.m, cfg.n

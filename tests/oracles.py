@@ -4,12 +4,47 @@
 explicit per-receiver 2x2 LAPACK solve of the first-order model, the way
 `reconstruct_general` did before it took its closed form at every offset.
 `effective_observations` is the readouts less |r|, through the subtraction
-and shape check that both reconstructions run.
+and shape check that both reconstructions run. `draw_bits` is one trial's
+fair bits as numpy's generator draws them, which the stacked draws read from
+raw Philox words. `exhaustive_ml` scores every one of the J^N candidates
+that the tree search of `ml_linear` prunes.
 """
+
+import functools
 
 import numpy as np
 
+from ramimo.constellation import make_qam
+from ramimo.detect import _residual_norms
 from ramimo.reconstruct import _effective
+
+
+def draw_bits(count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw `count` fair bits (int64 zeros and ones)."""
+    return rng.integers(0, 2, count)
+
+
+@functools.lru_cache(maxsize=8)
+def all_candidates(order, n):
+    """All J^N candidates in mixed-radix order, first user's index fastest."""
+    digits = (np.arange(order**n)[:, None] // order ** np.arange(n)) % order
+    cand = make_qam(order).points[digits]
+    cand.flags.writeable = False
+    return cand
+
+
+def exhaustive_ml(s_hat, H, c):
+    """Oracle minimizer: score all J^N candidates with ml_linear's rescoring helper.
+
+    The helper scores each row on its own, so scoring in cache-sized slices
+    gives the same bits; np.argmin keeps the lowest index among exact minima.
+    """
+    s_hat, H = np.asarray(s_hat, dtype=complex), np.asarray(H, dtype=complex)
+    cand = all_candidates(c.order, H.shape[1])
+    metrics = np.concatenate(
+        [_residual_norms(s_hat, H, cand[lo : lo + 4096]) for lo in range(0, len(cand), 4096)]
+    )
+    return cand[int(np.argmin(metrics))]
 
 
 def effective_observations(z, r) -> tuple[np.ndarray, np.ndarray]:

@@ -209,6 +209,7 @@ BAD_CONFIG_DIRS = ("dir_config", "dir_config.json")
     ["phi-sweep", "--config", "object_grid.json"],
     ["ber", "--config", "null_snr.json"],
     ["ber", "--config", "bool_rsr.json"],
+    ["ber", "--detector", "zf", "--m", "4", "--n", "8", "--snr-db-list", "10", "--trials", "8"],
 ])
 def test_bad_input_refused_before_any_trial(tmp_path, argv, capsys):
     for name, (text, _) in BAD_CONFIGS.items():

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import tracemalloc
 
@@ -11,13 +10,14 @@ from ramimo import detect
 from ramimo.channel import trial_keys
 from ramimo.constellation import make_qam, quantize
 from ramimo.detect import (
-    DEFAULT_SEARCH_BUDGET, IllConditionedChannelError, SearchBudgetError, _candidate_count,
-    _residual_norms, ml_linear, ml_linear_stacked, ml_single_shot, ml_single_shot_stacked,
+    DEFAULT_SEARCH_BUDGET, IllConditionedChannelError, SearchBudgetError, _residual_norms,
+    candidate_count, ml_linear, ml_linear_stacked, ml_single_shot, ml_single_shot_stacked,
     zf_linear,
 )
 from ramimo.montecarlo import (
     _ROLES, ExperimentConfig, _draws, _recover, _Shared, snr_db_to_sigma_v_sq,
 )
+from oracles import all_candidates, exhaustive_ml
 
 C4 = make_qam(4)
 C16 = make_qam(16)
@@ -36,31 +36,8 @@ def _brute_force_ml(s_hat, H, c):
     return best
 
 
-@functools.lru_cache(maxsize=8)
-def _all_candidates(order, n):
-    """All J^N candidates in mixed-radix order, first user's index fastest."""
-    digits = (np.arange(order**n)[:, None] // order ** np.arange(n)) % order
-    cand = make_qam(order).points[digits]
-    cand.flags.writeable = False
-    return cand
-
-
-def _exhaustive_ml(s_hat, H, c):
-    """Oracle minimizer: score all J^N candidates with ml_linear's rescoring helper.
-
-    The helper scores each row on its own, so scoring in cache-sized slices
-    gives the same bits; np.argmin keeps the lowest index among exact minima.
-    """
-    s_hat, H = np.asarray(s_hat, dtype=complex), np.asarray(H, dtype=complex)
-    cand = _all_candidates(c.order, H.shape[1])
-    metrics = np.concatenate(
-        [_residual_norms(s_hat, H, cand[lo : lo + 4096]) for lo in range(0, len(cand), 4096)]
-    )
-    return cand[int(np.argmin(metrics))]
-
-
 def _assert_matches_oracle(s_hat, H, c):
-    assert np.array_equal(ml_linear(s_hat, H, c), _exhaustive_ml(s_hat, H, c))
+    assert np.array_equal(ml_linear(s_hat, H, c), exhaustive_ml(s_hat, H, c))
 
 
 def test_ml_matches_exhaustive_oracle_on_prss_trials():
@@ -123,7 +100,7 @@ def _tie_prone_instances(draw, sizes=None):
 @given(_tie_prone_instances())
 def test_ml_ties_match_exhaustive_oracle(instance):
     s_hat, H, c = instance
-    assert np.array_equal(ml_linear(s_hat, H, c), _exhaustive_ml(s_hat, H, c))
+    assert np.array_equal(ml_linear(s_hat, H, c), exhaustive_ml(s_hat, H, c))
 
 
 @st.composite
@@ -140,7 +117,7 @@ def test_stacked_ml_ties_match_exhaustive_oracle_per_trial(stack):
     s_hat, H, c = stack
     got = ml_linear_stacked(s_hat, H, c)
     for t in range(len(H)):
-        assert np.array_equal(got[t], _exhaustive_ml(s_hat[t], H[t], c)), t
+        assert np.array_equal(got[t], exhaustive_ml(s_hat[t], H[t], c)), t
 
 
 def _prss_stack(trials, m, n, snr_db, seed):
@@ -161,11 +138,11 @@ def test_stacked_ml_matches_exhaustive_oracle_in_small_blocks(monkeypatch, stack
     s_hat, H = _prss_stack(40, 6, 3, 8.0, 44)
     got = ml_linear_stacked(s_hat, H, C16)
     for t in range(len(H)):
-        assert np.array_equal(got[t], _exhaustive_ml(s_hat[t], H[t], C16)), t
+        assert np.array_equal(got[t], exhaustive_ml(s_hat[t], H[t], C16)), t
     s_hat, H = _prss_stack(12, 6, 3, -10.0, 45)  # the radius prunes little
     got = ml_linear_stacked(s_hat, H, C16)
     for t in range(len(H)):
-        assert np.array_equal(got[t], _exhaustive_ml(s_hat[t], H[t], C16)), t
+        assert np.array_equal(got[t], exhaustive_ml(s_hat[t], H[t], C16)), t
 
 
 @pytest.mark.parametrize("m, n, c", [(6, 4, C4), (5, 3, C16)])
@@ -185,7 +162,7 @@ def test_stacked_ml_matches_exhaustive_oracle_when_every_x_b_survives(m, n, c):
         s_hat = np.einsum("tij,tj->ti", H, x) + scale * w
         got = ml_linear_stacked(s_hat, H, c)
         for k in range(t):
-            assert np.array_equal(got[k], _exhaustive_ml(s_hat[k], H[k], c)), k
+            assert np.array_equal(got[k], exhaustive_ml(s_hat[k], H[k], c)), k
 
 
 def test_stacked_ml_matches_exhaustive_oracle_at_noise_100x_the_signal():
@@ -199,7 +176,7 @@ def test_stacked_ml_matches_exhaustive_oracle_at_noise_100x_the_signal():
     s_hat = np.einsum("tij,tj->ti", H, x) + 100.0 * w
     got = ml_linear_stacked(s_hat, H, C16)
     for k in range(t):
-        assert np.array_equal(got[k], _exhaustive_ml(s_hat[k], H[k], C16)), k
+        assert np.array_equal(got[k], exhaustive_ml(s_hat[k], H[k], C16)), k
 
 
 def test_ml_64qam_8x4_noisy_stack_in_bounded_memory():
@@ -224,7 +201,7 @@ def test_ml_64qam_8x4_noisy_stack_in_bounded_memory():
 
 @pytest.mark.parametrize("lattice", [16, 100, 1 << 16])
 def test_stacked_single_shot_matches_one_trial_in_small_blocks(monkeypatch, lattice):
-    # a lattice above _LATTICE is scored one trial at a time in blocks
+    # a lattice above _LATTICE is scored in blocks, each for every trial
     monkeypatch.setattr(detect, "_LATTICE", lattice)
     rng = np.random.default_rng(45)
     t, m, n = 12, 5, 3
@@ -233,7 +210,7 @@ def test_stacked_single_shot_matches_one_trial_in_small_blocks(monkeypatch, latt
     x = C16.points[rng.integers(0, 16, (t, n))]
     z = np.abs(np.einsum("tij,tj->ti", H, x) + r + 0.3 * rng.standard_normal((t, m)))
     got = ml_single_shot_stacked(z, H, r, C16)
-    cand = _all_candidates(16, n)
+    cand = all_candidates(16, n)
     for k in range(t):
         s = cand @ H[k].T
         s += r[k]
@@ -323,7 +300,7 @@ def test_ml_budget_guard():
     # 4^13 = 2^26 candidates exceed the budget; 4^12 = 2^24 meets it exactly
     with pytest.raises(SearchBudgetError):
         ml_linear(np.zeros(13, dtype=complex), np.zeros((13, 13), dtype=complex), C4)
-    assert _candidate_count(C4, 12) == DEFAULT_SEARCH_BUDGET
+    assert candidate_count(4, 12) == DEFAULT_SEARCH_BUDGET
 
 
 def test_zf_square_and_tall_noiseless():
@@ -436,8 +413,11 @@ def test_single_shot_scalar_real_reference_conjugate_tie():
         assert x_hat[0] == C4.points[min(true_idx, conj_idx)]
 
 
-def test_single_shot_phase_ambiguity_tie_break():
-    # without a reference all unit-magnitude candidates tie; lowest index wins
+@pytest.mark.parametrize("lattice", [1, 2, detect._LATTICE])
+def test_single_shot_phase_ambiguity_tie_break(monkeypatch, lattice):
+    # without a reference all unit-magnitude candidates tie; lowest index wins,
+    # also when blocks of one or two candidates split the tie between them
+    monkeypatch.setattr(detect, "_LATTICE", lattice)
     z = np.array([1.0])
     x_hat = ml_single_shot(z, np.array([[1.0 + 0j]]), np.zeros(1, dtype=complex), C4)
     assert x_hat[0] == C4.points[0]

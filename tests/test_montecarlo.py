@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 from ramimo import montecarlo
 from ramimo.channel import (
-    MAX_TRIALS, STREAM_IDS, draw_bits, draw_channel, draw_noise, draw_reference, keyed_rng,
+    MAX_TRIALS, STREAM_IDS, draw_channel, draw_noise, draw_reference, keyed_rng,
     stream_rng, trial_keys,
 )
 from ramimo.constellation import demap, make_qam, modulate
-from ramimo.detect import _residual_norms, ml_linear_stacked, ml_single_shot_stacked, zf_linear
+from ramimo.detect import ml_linear_stacked, ml_single_shot_stacked, zf_linear
 from ramimo.frontend import observe_prss, observe_single
 from ramimo.montecarlo import (
     BATCH_TRIALS,
@@ -35,6 +35,7 @@ from ramimo.montecarlo import (
     snr_db_to_sigma_v_sq,
 )
 from ramimo.reconstruct import reconstruct_general
+from oracles import all_candidates, draw_bits, exhaustive_ml
 
 PI = np.pi
 
@@ -77,6 +78,8 @@ def test_config_validation():
     {"m": 512, "samples": 512 * MAX_TRIALS + 1},
     # a prss phase sweep refuses a singular offset rather than drop it
     {"phi_list": (PI / 2, 0.0)},
+    # zero-forcing cannot separate more users than receivers
+    {"m": 4, "n": 8, "detector": "zf", "snr_db_list": (10.0,)},
 ])
 def test_config_refuses_bad_numbers(kwargs):
     with pytest.raises(ValueError):
@@ -213,25 +216,10 @@ def test_variance_chunk_points_keep_their_bits_when_sharing_terms():
         assert row.tobytes() == montecarlo._variance_chunk(cfg, keys, [point])[0].tobytes()
 
 
-def _all_candidates(c, n):
-    """All J^N candidate vectors in mixed-radix order, first user's index fastest."""
-    return c.points[(np.arange(c.order**n)[:, None] // c.order ** np.arange(n)) % c.order]
-
-
-def _exhaustive_ml(s_hat, H, c):
-    """Lowest-index exact minimizer of ||s_hat - Hx||^2, every candidate
-    scored on its own by the rescoring helper (in slices, to bound memory)."""
-    cand = _all_candidates(c, H.shape[1])
-    metrics = np.concatenate(
-        [_residual_norms(s_hat, H, cand[lo : lo + 4096]) for lo in range(0, len(cand), 4096)]
-    )
-    return cand[int(np.argmin(metrics))]
-
-
 def _single_shot_one_trial(z, H, r, c):
     """ml_single_shot as one trial ran it: each metric from the one-trial
     product cand @ H.T, and the first minimum wins."""
-    cand = _all_candidates(c, H.shape[1])
+    cand = all_candidates(c.order, H.shape[1])
     s = cand @ H.T
     s += r
     d = np.abs(s)
@@ -260,7 +248,7 @@ def _oracle_trial(cfg, t):
             r = draw_reference(cfg.m, cfg.n, cfg.rsr_db, stream_rng(seed, t, "reference"))
             v2 = draw_noise(cfg.m, cfg.sigma_v_sq, stream_rng(seed, t, "noise2"))
             s = reconstruct_general(observe_prss(H, x, r, v1, v2, cfg.phi), r, cfg.phi)
-        x_hat = _exhaustive_ml(s, H, c) if cfg.detector == "ml" else zf_linear(s, H, c)
+        x_hat = exhaustive_ml(s, H, c) if cfg.detector == "ml" else zf_linear(s, H, c)
     return s, x_hat, int(np.count_nonzero(demap(x_hat, c) != bits)), bits.size
 
 
@@ -324,7 +312,7 @@ def test_stacked_detectors_keep_each_trials_lowest_index_tie():
     s_hat[1::3] = 0.0
     got = ml_linear_stacked(s_hat, H, c)
     for k in range(t):
-        assert np.array_equal(got[k], _exhaustive_ml(s_hat[k], H[k], c)), k
+        assert np.array_equal(got[k], exhaustive_ml(s_hat[k], H[k], c)), k
     assert np.all(got[0::3, 1] == c.points[0])
     # no reference: |Hx| cannot tell x from its rotations, so every trial ties
     r = np.zeros((t, m), dtype=complex)
