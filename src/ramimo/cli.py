@@ -119,7 +119,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--seed", type=int,
                        help=f"master seed (default {ExperimentConfig.master_seed})")
-        p.add_argument("--threads", type=int, help="worker processes (default: one per usable core)")
+        p.add_argument("--threads", type=int,
+                       help="processes that run trials; workers start only where they "
+                            "pay for themselves (default: at most one per usable core)")
 
     def trial(p):  # the commands that draw trials
         common(p)
@@ -235,7 +237,8 @@ def _write_csv(path: str, header: list[str], rows, comments=()) -> None:
         writer.writerows(rows)
 
 
-def _write_manifest(path: str, command: str, resolved: dict, outputs: list[str]) -> None:
+def _write_manifest(path: str, command: str, resolved: dict, outputs: list[str],
+                    telemetry: dict) -> None:
     manifest = {
         "command": command,
         "config": resolved,
@@ -245,6 +248,8 @@ def _write_manifest(path: str, command: str, resolved: dict, outputs: list[str])
         "outputs": outputs,
         # how the run executed; never read back, so replaying stays byte-identical
         "env": run_environment(resolved["threads"]),
+        # threads - 1 if the run forked its workers, 0 if it never did
+        "workers_started": telemetry["workers_started"],
         "note": "channel, reference and noise are redrawn every trial (fast fading)",
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -265,13 +270,13 @@ def _phi_grid_from(resolved: dict) -> tuple[tuple[float, ...], list[str]]:
     return usable, [f"skipped phi={_g(p)}: singular offset" for p in skipped]
 
 
-def _cmd_phi_sweep(resolved: dict) -> tuple[list, list[str]]:
+def _cmd_phi_sweep(resolved: dict, telemetry: dict) -> tuple[list, list[str]]:
     usable, comments = _phi_grid_from(resolved)
     cfg = _checked_config(
         resolved, scheme="prss", rsr_db=resolved["rsr_db"],
         sigma_v_sq=resolved["sigma_v_sq"], phi_list=usable, samples=resolved["samples"],
     )
-    records = run_phi_sweep(cfg)
+    records = run_phi_sweep(cfg, telemetry)
     rows = [
         [_g(r.phi), _g(r.sigma_ve_sq), _g(r.sigma_v_sq), _g(r.rsr_db), r.samples, r.seed]
         for r in records
@@ -279,7 +284,7 @@ def _cmd_phi_sweep(resolved: dict) -> tuple[list, list[str]]:
     return rows, comments
 
 
-def _cmd_rsr_sweep(resolved: dict) -> tuple[list, list[str]]:
+def _cmd_rsr_sweep(resolved: dict, telemetry: dict) -> tuple[list, list[str]]:
     rsr_list = _float_list(resolved["rsr_db_list"])
     sv_list = _float_list(resolved["sigma_v_sq_list"])
     if not rsr_list or not sv_list:
@@ -288,7 +293,7 @@ def _cmd_rsr_sweep(resolved: dict) -> tuple[list, list[str]]:
         resolved, scheme="prss", rsr_db_list=rsr_list, sigma_v_sq_list=sv_list,
         samples=resolved["samples"],
     )
-    records = run_rsr_sweep(cfg)
+    records = run_rsr_sweep(cfg, telemetry)
     rows = [
         [_g(r.rsr_db), _g(r.sigma_v_sq), _g(r.sigma_ve_sq), r.samples, r.seed]
         for r in records
@@ -296,7 +301,7 @@ def _cmd_rsr_sweep(resolved: dict) -> tuple[list, list[str]]:
     return rows, []
 
 
-def _cmd_ber(resolved: dict) -> tuple[list, list[str]]:
+def _cmd_ber(resolved: dict, telemetry: dict) -> tuple[list, list[str]]:
     snr_list = _float_list(resolved["snr_db_list"])
     if not snr_list:
         raise UsageError("snr-db-list must not be empty")
@@ -305,7 +310,7 @@ def _cmd_ber(resolved: dict) -> tuple[list, list[str]]:
         rsr_db=resolved["rsr_db"], phi=resolved["phi"], snr_db_list=snr_list,
         trials=resolved["trials"], target_errors=resolved["target_errors"],
     )
-    records = run_ber_sweep(cfg)
+    records = run_ber_sweep(cfg, telemetry)
     rows = [
         [r.scheme, r.detector, _g(r.snr_db), _g(r.rsr_db), r.m, r.n, r.qam,
          r.estimate.bit_errors, r.estimate.bits_total, _g(r.estimate.ber),
@@ -315,7 +320,7 @@ def _cmd_ber(resolved: dict) -> tuple[list, list[str]]:
     return rows, []
 
 
-def _cmd_trace_curve(resolved: dict) -> tuple[list, list[str]]:
+def _cmd_trace_curve(resolved: dict, telemetry: dict) -> tuple[list, list[str]]:
     u_mod = resolved["u_mod"]
     sv = resolved["sigma_v_sq"]
     if not (math.isfinite(u_mod) and u_mod > 0):
@@ -342,10 +347,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     command = args.command
     stem = os.path.join(args.out, command.replace("-", "_"))
+    telemetry = {"workers_started": 0}
     try:
         resolved = _resolve(args, command)
         os.makedirs(args.out, exist_ok=True)
-        rows, comments = _RUNNERS[command](resolved)
+        rows, comments = _RUNNERS[command](resolved, telemetry)
         _write_csv(f"{stem}.csv", CSV_HEADERS[command], rows, comments)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -353,7 +359,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
-    _write_manifest(f"{stem}.manifest.json", command, resolved, [f"{stem}.csv"])
+    _write_manifest(f"{stem}.manifest.json", command, resolved, [f"{stem}.csv"], telemetry)
     print(f"wrote {stem}.csv\nwrote {stem}.manifest.json")
     return 0
 

@@ -322,12 +322,16 @@ def ml_single_shot_stacked(z: np.ndarray, H: np.ndarray, r: np.ndarray,
     so ties keep the lowest index. A metric has no tolerance behind it, so
     each one is computed as the one-trial product cand @ H.T would be: per
     trial the same BLAS product, and the squared norm of each row on its own.
+    A NaN or inf in z, H or r raises ValueError.
     """
     H = np.asarray(H)
     z = np.asarray(z, dtype=float)
     r = np.asarray(r)
     trials, m, n = H.shape
     count = candidate_count(c.order, n)
+    # a NaN metric never compares lower, so every trial would keep candidate 0
+    if not (np.isfinite(z).all() and np.isfinite(H).all() and np.isfinite(r).all()):
+        raise ValueError("z, H and r must be finite")
     block = min(count, _LATTICE)
     per = max(1, _STACK // (2 * block * m))
     low = np.full(trials, np.inf)

@@ -17,10 +17,15 @@ whose points compute what they share once (`_Shared`); the frontend,
 reconstruction, detection, demapping and bit counting of a BER chunk. A
 stacked value is bit for bit what its trial gives alone.
 
-A run with W workers forks W - 1 worker processes, and the calling process
-runs trials beside them. While the workers exist, all W processes run
-OpenBLAS on one thread, so they keep W cores busy instead of W times
-OpenBLAS's own thread count; a serial run keeps the process's BLAS threads.
+A run with W > 1 workers starts on the calling process alone, which times
+the first trials it runs. Before each later batch, or variance point, it
+forks W - 1 worker processes, to run trials beside it for the rest of the
+sweep, once the time they would save on the trials the sweep may still run
+covers what starting them costs (`_POOL_COST_S`); until then it runs each
+batch as one block. Such a run keeps OpenBLAS on one thread in every
+process, the caller included, so W processes keep W cores busy instead of
+W times OpenBLAS's own thread count; a serial run keeps the process's BLAS
+threads.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import platform
 import signal
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
+from time import perf_counter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -386,13 +392,20 @@ def run_variance_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[np.ndar
     return s_hat[0], shared.s[0]
 
 
-def _ber_block(cfg: ExperimentConfig, lo: int, hi: int) -> tuple[int, int]:
-    """(bit errors, bits) of trials lo..hi-1.
+def _ber_step(cfg: ExperimentConfig) -> int:
+    """Trials per stacked BER chunk: at most _BER_ENTRIES channel entries."""
+    return max(1, _BER_ENTRIES // (cfg.m * cfg.n))
 
-    Trials run in stacked chunks of at most _BER_ENTRIES channel entries.
-    """
+
+def _variance_step(cfg: ExperimentConfig) -> int:
+    """Trials per stacked variance chunk: at most _VARIANCE_ROWS receiver rows."""
+    return max(1, _VARIANCE_ROWS // cfg.m)
+
+
+def _ber_block(cfg: ExperimentConfig, lo: int, hi: int) -> tuple[int, int]:
+    """(bit errors, bits) of trials lo..hi-1, in stacked chunks of _ber_step trials."""
     keys = trial_keys(cfg.master_seed, lo, hi, _ROLES[cfg.scheme])
-    step = max(1, _BER_ENTRIES // (cfg.m * cfg.n))
+    step = _ber_step(cfg)
     errors = sum(int(_ber_chunk(cfg, keys[a:a + step])[2].sum()) for a in range(0, hi - lo, step))
     return errors, (hi - lo) * cfg.n * _alphabet(cfg.order).bits_per_symbol
 
@@ -401,11 +414,11 @@ def _variance_block(job, lo: int, hi: int) -> np.ndarray:
     """||s_hat - s||^2 of trials lo..hi-1 at each point: shape (points, hi - lo).
 
     job is (cfg, points), each point an (rsr_db, sigma_v_sq, phi) triple.
-    Trials run in stacked chunks of at most _VARIANCE_ROWS receiver rows.
+    Trials run in stacked chunks of _variance_step trials.
     """
     cfg, points = job
     keys = trial_keys(cfg.master_seed, lo, hi, _ROLES["prss"])
-    step = max(1, _VARIANCE_ROWS // cfg.m)
+    step = _variance_step(cfg)
     return np.concatenate([_variance_chunk(cfg, keys[a:a + step], points)
                            for a in range(0, hi - lo, step)], axis=1)
 
@@ -421,14 +434,16 @@ def _variance_chunk(cfg: ExperimentConfig, keys: np.ndarray, points) -> np.ndarr
     ])
 
 
-def _ber_point(cfg: ExperimentConfig, pool: _Workers) -> tuple[BerEstimate, int]:
-    """Accumulate trials in batches until target_errors or the trial cap is hit."""
+def _ber_point(cfg: ExperimentConfig, run: _Runner, later: int) -> tuple[BerEstimate, int]:
+    """Accumulate trials in batches until target_errors or the trial cap is
+    hit; later is the number of trials the sweep's later points may run."""
     errors = 0
     bits = 0
     done = 0
     while done < cfg.trials:
         batch_stop = min(done + BATCH_TRIALS, cfg.trials)
-        for e, b in pool.map(_ber_block, cfg, done, batch_stop):
+        after_batch = cfg.trials - batch_stop + later
+        for e, b in run.map(_ber_block, cfg, done, batch_stop, after_batch, _ber_step(cfg)):
             errors += e
             bits += b
         done = batch_stop
@@ -437,11 +452,14 @@ def _ber_point(cfg: ExperimentConfig, pool: _Workers) -> tuple[BerEstimate, int]
     return BerEstimate.from_counts(errors, bits), done
 
 
-def _variance_points(cfg: ExperimentConfig, points, pool: _Workers) -> list[tuple[float, int]]:
+def _variance_points(cfg: ExperimentConfig, points, run: _Runner,
+                     later: int) -> list[tuple[float, int]]:
     """Mean ||s_hat - s||^2 per receiver at each (rsr_db, sigma_v_sq, phi)
-    point, all on the same >= cfg.samples receiver samples; and that count."""
+    point, all on the same >= cfg.samples receiver samples; and that count.
+    later is the number of trials the sweep may run after these."""
     trials = _variance_trials(cfg)
-    per_trial = np.concatenate(pool.map(_variance_block, (cfg, points), 0, trials), axis=1)
+    chunks = run.map(_variance_block, (cfg, points), 0, trials, later, _variance_step(cfg))
+    per_trial = np.concatenate(chunks, axis=1)
     # one ordered reduction per point keeps the result identical for any worker count
     return [(float(np.sum(row) / (trials * cfg.m)), trials * cfg.m) for row in per_trial]
 
@@ -524,15 +542,20 @@ def _one_blas_thread() -> int | None:
 _CHUNKS_PER_PROCESS = 2
 
 
+def _chunk(start: int, stop: int, width: int) -> int:
+    """Trials per chunk of the batch start..stop-1 on width processes."""
+    return math.ceil((stop - start) / (_CHUNKS_PER_PROCESS * width))
+
+
 def _take(counter, block, arg, start: int, stop: int, width: int) -> dict:
     """Claim chunks of the batch start..stop-1 from the shared counter until
     it reaches stop; return {lo: block(arg, lo, hi)} for the chunks lo..hi-1
     this process claimed.
 
-    Every chunk holds ceil((stop - start) / (_CHUNKS_PER_PROCESS * width))
-    trials, except the batch's remainder.
+    Every chunk holds _chunk(start, stop, width) trials, except the batch's
+    remainder.
     """
-    size = math.ceil((stop - start) / (_CHUNKS_PER_PROCESS * width))
+    size = _chunk(start, stop, width)
     done = {}
     while True:
         with counter.get_lock():
@@ -668,6 +691,84 @@ class _Workers:
             _set_blas_threads(_blas_threads(), self.blas_threads)
 
 
+# What starting a sweep's W - 1 workers costs the caller, in seconds: the
+# fork, the workers' first chunks (copy-on-write faults, numpy's first
+# calls) and the join. On a 2-vCPU host (Python 3.11, numpy 2.4.6 with
+# OpenBLAS) a one-worker pool that ran one batch of 16-256 BER or variance
+# trials took 7-12 ms longer than half the batch's serial time (medians of
+# 20 probes per batch size), and a pool that ran an empty block 3.8 ms.
+_POOL_COST_S = 0.008
+
+
+class _Runner:
+    """Runs one sweep's batches, for the span of a `with`: on the caller
+    alone until forking W - 1 workers pays for itself, then on a `_Workers`
+    pool for the rest of the sweep.
+
+    Ski rental (Karlin, Manasse, Rudolph and Sleator, 1988): before each
+    batch the pool starts if (the caller's measured seconds per trial) x
+    (trials the sweep may still run) x (W - 1) / W >= _POOL_COST_S, so with
+    _POOL_COST_S = 0 it starts before the first trial. With nothing measured
+    yet the caller first times the ceil(B / 2W) trials it would have claimed
+    anyway, or one stacked chunk of them (step trials) if that is fewer, so
+    a heavy trial costs no long wait alone; a batch it keeps runs as one
+    block. Only time and trial caps are read, and no trial depends on who
+    runs it, so no result moves.
+    telemetry gets "workers_started": W - 1 once the pool starts, else 0.
+
+    The caller runs OpenBLAS on one thread from the start, as it would
+    beside the workers, so the run's manifest says true whether or not they
+    start; on a 2-vCPU host a 128x64 ZF trial also runs faster that way. It
+    gets its own thread count back on exit.
+    """
+
+    def __init__(self, width: int, telemetry: dict | None = None):
+        self.width = width
+        self.telemetry = {} if telemetry is None else telemetry
+        self.telemetry["workers_started"] = 0
+        self.pool = None
+        self.blas_threads = None
+        self.seconds = 0.0  # the caller's time on the trials it ran alone
+        self.trials = 0
+
+    def __enter__(self) -> "_Runner":
+        if self.width > 1:
+            self.blas_threads = _one_blas_thread()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.pool is not None:
+            self.pool.__exit__(*exc_info)
+        if self.blas_threads not in (None, 1):
+            _set_blas_threads(_blas_threads(), self.blas_threads)
+
+    def _pays(self, left: int) -> bool:
+        per_trial = self.seconds / self.trials if self.trials else 0.0
+        return per_trial * left * (self.width - 1) / self.width >= _POOL_COST_S
+
+    def map(self, block, arg, start: int, stop: int, later: int, step: int) -> list:
+        """block(arg, lo, hi) over chunks lo..hi-1 that cover the batch
+        start..stop-1, in trial order, as `_Workers.map` gives them; later
+        is the number of trials the sweep may run after this batch, and
+        block stacks step trials at a time."""
+        done = []
+        while start < stop:
+            if self.pool is None and self.width > 1 and self._pays(stop - start + later):
+                self.pool = _Workers(self.width - 1).__enter__()
+                self.telemetry["workers_started"] = self.width - 1
+            if self.pool is not None:
+                return done + self.pool.map(block, arg, start, stop)
+            hi = stop
+            if self.width > 1 and not self.trials:  # a first chunk to time
+                hi = start + min(_chunk(start, stop, self.width), step)
+            began = perf_counter()
+            done.append(block(arg, start, hi))
+            self.seconds += perf_counter() - began
+            self.trials += hi - start
+            start = hi
+        return done
+
+
 def run_environment(workers: int) -> dict:
     """Interpreter, numpy/BLAS build and pool settings of a run, for its manifest.
 
@@ -693,18 +794,22 @@ def run_environment(workers: int) -> dict:
     }
 
 
-def run_ber_sweep(cfg: ExperimentConfig) -> list[BerSweepRecord]:
-    """BER vs SNR for the configured scheme; one independent sub-seed per point."""
+def run_ber_sweep(cfg: ExperimentConfig, telemetry: dict | None = None) -> list[BerSweepRecord]:
+    """BER vs SNR for the configured scheme; one independent sub-seed per point.
+
+    telemetry, if given, gets "workers_started" (see `_Runner`).
+    """
     if not cfg.snr_db_list:
         raise ValueError("snr_db_list must not be empty")
     records = []
-    with _Workers(cfg.workers - 1) as pool:
+    with _Runner(cfg.workers, telemetry) as run:
         for i, snr_db in enumerate(cfg.snr_db_list):
             seed = derive_point_seed(cfg.master_seed, i)
             point = replace(
                 cfg, sigma_v_sq=snr_db_to_sigma_v_sq(snr_db), master_seed=seed
             )
-            est, trials = _ber_point(point, pool)
+            later = (len(cfg.snr_db_list) - 1 - i) * cfg.trials
+            est, trials = _ber_point(point, run, later)
             records.append(
                 BerSweepRecord(
                     scheme=cfg.scheme,
@@ -722,17 +827,20 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[BerSweepRecord]:
     return records
 
 
-def run_phi_sweep(cfg: ExperimentConfig) -> list[PhiSweepRecord]:
+def run_phi_sweep(cfg: ExperimentConfig, telemetry: dict | None = None) -> list[PhiSweepRecord]:
     """Reconstruction error vs phase offset; fresh draws at every offset.
 
     Point i of phi_list (default: default_phi_grid()) runs on sub-seed i.
+    telemetry, if given, gets "workers_started" (see `_Runner`).
     """
     records = []
-    with _Workers(cfg.workers - 1) as pool:
-        for i, phi in enumerate(cfg.phi_list or default_phi_grid()):
+    grid = cfg.phi_list or default_phi_grid()
+    with _Runner(cfg.workers, telemetry) as run:
+        for i, phi in enumerate(grid):
             seed = derive_point_seed(cfg.master_seed, i)
+            later = (len(grid) - 1 - i) * _variance_trials(cfg)
             [(sigma_ve_sq, samples)] = _variance_points(
-                replace(cfg, master_seed=seed), [(cfg.rsr_db, cfg.sigma_v_sq, phi)], pool
+                replace(cfg, master_seed=seed), [(cfg.rsr_db, cfg.sigma_v_sq, phi)], run, later
             )
             records.append(
                 PhiSweepRecord(
@@ -747,13 +855,14 @@ def run_phi_sweep(cfg: ExperimentConfig) -> list[PhiSweepRecord]:
     return records
 
 
-def run_rsr_sweep(cfg: ExperimentConfig) -> list[RsrSweepRecord]:
+def run_rsr_sweep(cfg: ExperimentConfig, telemetry: dict | None = None) -> list[RsrSweepRecord]:
     """Reconstruction error vs reference strength at a quarter-turn offset.
 
     Every point is evaluated on the same draws (only the reference magnitude
     and the noise scale change), so the Taylor-residual decay with reference
     strength shows up pathwise rather than being buried in sampling noise.
-    Each trial is drawn once for all the points.
+    Each trial is drawn once for all the points. telemetry, if given, gets
+    "workers_started" (see `_Runner`).
     """
     if not cfg.rsr_db_list:
         raise ValueError("rsr_db_list must not be empty")
@@ -761,8 +870,8 @@ def run_rsr_sweep(cfg: ExperimentConfig) -> list[RsrSweepRecord]:
         raise ValueError("sigma_v_sq_list must not be empty")
     grid = [(rsr_db, sigma_v_sq) for sigma_v_sq in cfg.sigma_v_sq_list
             for rsr_db in cfg.rsr_db_list]
-    with _Workers(cfg.workers - 1) as pool:
-        results = _variance_points(cfg, [(r, sv, PI_HALF) for r, sv in grid], pool)
+    with _Runner(cfg.workers, telemetry) as run:
+        results = _variance_points(cfg, [(r, sv, PI_HALF) for r, sv in grid], run, 0)
     return [
         RsrSweepRecord(
             rsr_db=rsr_db,

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from ramimo import montecarlo
 from ramimo.cli import main
 
 BER_ARGS = [
@@ -67,6 +68,19 @@ def test_manifest_records_run_environment(tmp_path):
                  "--out", str(out2)]) == 0
     assert (out1 / "ber.csv").read_bytes() == (out2 / "ber.csv").read_bytes()
     assert json.loads((out2 / "ber.manifest.json").read_text())["env"]["workers"] == 1
+
+
+def test_manifest_records_whether_the_run_forked(tmp_path, monkeypatch):
+    # one point of one trial: the caller's first chunk is the whole run, so
+    # starting a worker could save nothing
+    tiny = ["ber", "--scheme", "rf_baseline", "--detector", "zf", "--m", "4", "--n", "2",
+            "--snr-db-list", "2", "--trials", "1", "--threads", "2"]
+    assert main(tiny + ["--out", str(tmp_path / "a")]) == 0
+    assert json.loads((tmp_path / "a" / "ber.manifest.json").read_text())["workers_started"] == 0
+    monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)  # workers start before any trial
+    assert main(tiny + ["--out", str(tmp_path / "b")]) == 0
+    assert json.loads((tmp_path / "b" / "ber.manifest.json").read_text())["workers_started"] == 1
+    assert (tmp_path / "a" / "ber.csv").read_bytes() == (tmp_path / "b" / "ber.csv").read_bytes()
 
 
 def test_default_threads_is_usable_cores(tmp_path):

@@ -429,6 +429,20 @@ def test_single_shot_budget_guard():
         ml_single_shot(np.zeros(8), np.zeros((8, 7), dtype=complex), np.zeros(8, dtype=complex), C16)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["z", "H", "r"])
+def test_single_shot_refuses_non_finite_input(bad, where):
+    args = {"z": np.ones(2), "H": np.eye(2, dtype=complex), "r": np.full(2, 10.0 + 0j)}
+    args[where] = args[where].copy()
+    args[where].flat[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ml_single_shot(args["z"], args["H"], args["r"], C4)
+    # in a stack, one bad trial refuses the whole call
+    stacked = {k: np.stack([np.ones_like(v) if k == where else v, v]) for k, v in args.items()}
+    with pytest.raises(ValueError, match="finite"):
+        ml_single_shot_stacked(stacked["z"], stacked["H"], stacked["r"], C4)
+
+
 def test_detectors_deterministic():
     rng = np.random.default_rng(6)
     H = np.sqrt(0.5) * (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))

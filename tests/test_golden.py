@@ -1,5 +1,8 @@
 """Golden CSVs: every command's output bytes, pinned at one and two workers,
 and the BER commands also at three (a third decomposition into chunks).
+The multi-worker runs are pinned twice: with workers that start only where
+they pay for themselves (the default), and with workers that start before
+the first trial (`_POOL_COST_S` = 0).
 
 Each case runs `ramimo.cli.main` in-process on a small configuration and
 compares the CSV it writes with `tests/golden/<case>.csv` byte for byte.
@@ -9,6 +12,7 @@ root with `src` on PYTHONPATH. The test suite itself never writes them.
 """
 
 import difflib
+import json
 import math
 import sys
 import tempfile
@@ -16,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from ramimo import montecarlo
 from ramimo.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -80,10 +85,9 @@ RUNS = [(case, threads) for case in sorted(CASES)
         for threads in ((1, 2, 3) if case.startswith("ber_") else (1, 2))]
 
 
-@pytest.mark.parametrize("case,threads", RUNS)
-def test_csv_matches_golden(case, threads, tmp_path):
+def _assert_golden(case: str, threads: int, out: Path) -> None:
     expected = (GOLDEN / f"{case}.csv").read_bytes()
-    actual = _run(case, threads, tmp_path)
+    actual = _run(case, threads, out)
     if actual != expected:
         diff = difflib.unified_diff(
             expected.decode().splitlines(keepends=True),
@@ -91,6 +95,19 @@ def test_csv_matches_golden(case, threads, tmp_path):
             fromfile=f"golden/{case}.csv", tofile=f"threads={threads}",
         )
         pytest.fail("CSV differs from its golden copy:\n" + "".join(diff), pytrace=False)
+
+
+@pytest.mark.parametrize("case,threads", RUNS)
+def test_csv_matches_golden(case, threads, tmp_path):
+    _assert_golden(case, threads, tmp_path)
+
+
+@pytest.mark.parametrize("case,threads", [(c, t) for c, t in RUNS if t > 1])
+def test_csv_matches_golden_with_workers_from_the_start(case, threads, tmp_path, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)
+    _assert_golden(case, threads, tmp_path)
+    manifest = json.loads(next(tmp_path.glob("*.manifest.json")).read_text())
+    assert manifest["workers_started"] == (0 if case.startswith("trace_curve") else threads - 1)
 
 
 if __name__ == "__main__":

@@ -444,7 +444,40 @@ def test_parent_blas_threads_untouched_by_pool():
     original = api.get()
     api.set(2)  # a known count other than the workers' 1, whatever ran before
     try:
-        run_ber_sweep(cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_POOL_COST_S", 0.0)  # the pool starts at once
+            telemetry = {}
+            run_ber_sweep(cfg, telemetry)
+        assert telemetry["workers_started"] == 1
+        assert api.get() == 2
+    finally:
+        api.set(original)
+
+
+def test_caller_runs_one_blas_thread_in_a_parallel_run_that_never_forks(monkeypatch):
+    api = montecarlo._blas_threads()
+    if api is None:
+        pytest.skip("this process has no OpenBLAS with a thread-count control")
+    seen = []
+    block = montecarlo._ber_block
+
+    def spy(cfg, lo, hi):
+        seen.append(api.get())
+        return block(cfg, lo, hi)
+
+    monkeypatch.setattr(montecarlo, "_ber_block", spy)
+    monkeypatch.setattr(montecarlo, "_POOL_COST_S", math.inf)  # the pool never pays
+    cfg = ExperimentConfig(
+        m=2, n=2, scheme="rf_baseline", detector="zf",
+        snr_db_list=(5.0, 9.0), trials=300, master_seed=9, workers=2,
+    )
+    original = api.get()
+    api.set(2)
+    try:
+        telemetry = {}
+        run_ber_sweep(cfg, telemetry)
+        assert telemetry["workers_started"] == 0
+        assert seen and set(seen) == {1}  # every block, the timed first chunk included
         assert api.get() == 2
     finally:
         api.set(original)
@@ -458,6 +491,97 @@ def test_parallel_without_blas_control_matches_serial(monkeypatch):
     )
     assert run_ber_sweep(replace(base, workers=2)) == run_ber_sweep(base)
     assert montecarlo.run_environment(2)["blas_threads_per_worker"] is None
+
+
+class _Clock:
+    """A stand-in for `perf_counter` in `montecarlo`: the k-th block of
+    trials that a sweep's caller times alone takes seconds[k] (the last
+    value for every later one)."""
+
+    def __init__(self, *seconds: float):
+        self.seconds = seconds
+        self.calls = 0
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        block, ends = divmod(self.calls, 2)
+        self.calls += 1
+        if ends:
+            self.now += self.seconds[min(block, len(self.seconds) - 1)]
+        return self.now
+
+    @property
+    def blocks(self) -> int:
+        return self.calls // 2
+
+
+def _process_starts(monkeypatch) -> list:
+    """Record every process that starts, and let it start."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def recorded(proc):
+        started.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recorded)
+    return started
+
+
+@pytest.mark.parametrize("first_chunk_s, forks", [(0.5, False), (1.0, True)])
+def test_workers_start_only_when_the_projected_saving_covers_their_cost(
+        monkeypatch, first_chunk_s, forks):
+    # 64 trials at width 2: the caller times a 16-trial chunk alone; the other
+    # 48 would save 48 x first_chunk_s / 16 x (2 - 1) / 2 = 1.5 x first_chunk_s
+    cfg = ExperimentConfig(
+        m=4, n=2, scheme="rf_baseline", detector="zf",
+        snr_db_list=(6.0,), trials=64, target_errors=0, master_seed=3,
+    )
+    serial = run_ber_sweep(cfg)
+    monkeypatch.setattr(montecarlo, "_POOL_COST_S", 1.0)
+    clock = _Clock(first_chunk_s)
+    monkeypatch.setattr(montecarlo, "perf_counter", clock)
+    started = _process_starts(monkeypatch)
+    telemetry = {}
+    assert run_ber_sweep(replace(cfg, workers=2), telemetry) == serial
+    assert len(started) == telemetry["workers_started"] == (1 if forks else 0)
+    # alone, the caller ran the rest of the batch as one block
+    assert clock.blocks == (1 if forks else 2)
+
+
+_TARGET_STOP = ExperimentConfig(
+    m=4, n=2, scheme="rf_baseline", detector="zf",
+    snr_db_list=(6.0, 20.0), trials=4000, target_errors=100, master_seed=21,
+)
+_PHI = ExperimentConfig(
+    m=32, n=2, scheme="prss", rsr_db=30.0, sigma_v_sq=0.1,
+    phi_list=(PI / 2, 0.9, -PI / 4), samples=32 * 40, master_seed=22,
+)
+_RSR = ExperimentConfig(
+    m=32, n=2, scheme="prss", rsr_db_list=(15.0, 30.0, 45.0),
+    sigma_v_sq_list=(0.1, 0.001), samples=32 * 40, master_seed=23,
+)
+
+
+@pytest.mark.parametrize("sweep, cfg, block_seconds, blocks_alone", [
+    # batches 0-2 of the first point run alone (the first as a chunk and its
+    # rest), the pool serves batch 3 on, and the point stops on target_errors
+    (run_ber_sweep, _TARGET_STOP, (0.0, 0.0, 0.0, 1e3), 4),
+    # the first point runs alone, the pool serves the other two
+    (run_phi_sweep, _PHI, (0.0, 1e3), 2),
+    # the caller's first chunk, then the pool for the rest of the one batch
+    (run_rsr_sweep, _RSR, (1e3,), 1),
+], ids=["ber_target_errors", "phi_sweep", "rsr_sweep"])
+def test_a_pool_started_mid_sweep_returns_serial_records(
+        monkeypatch, sweep, cfg, block_seconds, blocks_alone):
+    serial = sweep(cfg)
+    if sweep is run_ber_sweep:
+        assert 3 * BATCH_TRIALS < serial[0].trials < cfg.trials  # stopped on target_errors
+    monkeypatch.setattr(montecarlo, "perf_counter", clock := _Clock(*block_seconds))
+    telemetry = {}
+    assert sweep(replace(cfg, workers=3), telemetry) == serial
+    assert telemetry["workers_started"] == 2
+    assert clock.blocks == blocks_alone
 
 
 @pytest.mark.parametrize("start, stop, width", [
