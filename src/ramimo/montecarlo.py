@@ -621,45 +621,38 @@ class _Workers:
     still warming up or one whose core is busy, takes fewer trials instead of
     holding the others up. Results are keyed by the chunk's first trial and
     returned in trial order, so they do not depend on which process ran
-    what. While workers exist, all W processes run OpenBLAS on one thread;
-    the caller gets its own thread count back on exit. With no workers,
-    `map` runs the batch as one chunk.
+    what. Each worker runs OpenBLAS on one thread; the caller's own thread
+    count is `_Runner`'s to set.
     """
 
     def __init__(self, count: int):
         self.count = count
         self.conns = []
         self.procs = []
-        self.blas_threads = None
 
     def __enter__(self) -> "_Workers":
-        if self.count:
-            self.blas_threads = _one_blas_thread()
-            ctx = multiprocessing.get_context()
-            self.counter = ctx.Value("q", 0)
-            width = self.count + 1
-            try:
-                with _sigint_held():
-                    for _ in range(self.count):
-                        conn, theirs = ctx.Pipe()
-                        self.conns.append(conn)
-                        proc = ctx.Process(
-                            target=_serve, args=(theirs, self.counter, width), daemon=True
-                        )
-                        proc.start()
-                        theirs.close()
-                        self.procs.append(proc)
-            except BaseException:
-                self.__exit__()
-                raise
+        ctx = multiprocessing.get_context()
+        self.counter = ctx.Value("q", 0)
+        width = self.count + 1
+        try:
+            with _sigint_held():
+                for _ in range(self.count):
+                    conn, theirs = ctx.Pipe()
+                    self.conns.append(conn)
+                    proc = ctx.Process(
+                        target=_serve, args=(theirs, self.counter, width), daemon=True
+                    )
+                    proc.start()
+                    theirs.close()
+                    self.procs.append(proc)
+        except BaseException:
+            self.__exit__()
+            raise
         return self
 
     def map(self, block, arg, start: int, stop: int) -> list:
         """block(arg, lo, hi) over chunks lo..hi-1 that cover the batch
-        start..stop-1, in trial order: the whole batch as one chunk here, or
-        the chunks that the processes claimed."""
-        if not self.conns:
-            return [block(arg, start, stop)]
+        start..stop-1, in trial order, as the processes claimed them."""
         self.counter.value = start
         for conn in self.conns:
             conn.send((block, arg, start, stop))
@@ -687,16 +680,17 @@ class _Workers:
             conn.close()
         for proc in self.procs:
             proc.join()
-        if self.blas_threads not in (None, 1):
-            _set_blas_threads(_blas_threads(), self.blas_threads)
 
 
-# What starting a sweep's W - 1 workers costs the caller, in seconds: the
-# fork, the workers' first chunks (copy-on-write faults, numpy's first
-# calls) and the join. On a 2-vCPU host (Python 3.11, numpy 2.4.6 with
-# OpenBLAS) a one-worker pool that ran one batch of 16-256 BER or variance
-# trials took 7-12 ms longer than half the batch's serial time (medians of
-# 20 probes per batch size), and a pool that ran an empty block 3.8 ms.
+# What starting each of a sweep's W - 1 workers costs the caller, in
+# seconds: the fork, the worker's first chunks (copy-on-write faults,
+# numpy's first calls) and the join. On a 2-vCPU host (Python 3.11, numpy
+# 2.4.6 with OpenBLAS) a one-worker pool (W = 2) that ran one batch of
+# 16-256 BER or variance trials took 7-12 ms longer than half the batch's
+# serial time (medians of 20 probes per batch size). Only W = 2 was timed
+# on real batches; that a pool's cost grows with its worker count comes
+# from pools that ran an empty block, 3.4 ms with one worker and 6.1 ms
+# with two (medians of 20), so the rule charges this cost per worker.
 _POOL_COST_S = 0.008
 
 
@@ -706,13 +700,13 @@ class _Runner:
     pool for the rest of the sweep.
 
     Ski rental (Karlin, Manasse, Rudolph and Sleator, 1988): before each
-    batch the pool starts if (the caller's measured seconds per trial) x
-    (trials the sweep may still run) x (W - 1) / W >= _POOL_COST_S, so with
-    _POOL_COST_S = 0 it starts before the first trial. With nothing measured
-    yet the caller first times the ceil(B / 2W) trials it would have claimed
-    anyway, or one stacked chunk of them (step trials) if that is fewer, so
-    a heavy trial costs no long wait alone; a batch it keeps runs as one
-    block. Only time and trial caps are read, and no trial depends on who
+    batch the pool starts if the time it would save, (the caller's measured
+    seconds per trial) x (trials the sweep may still run) x (W - 1) / W,
+    covers its cost, (W - 1) x _POOL_COST_S, so with _POOL_COST_S = 0 it
+    starts before the first trial. With nothing measured yet the caller
+    first times the ceil(B / 2W) trials it would have claimed anyway, or one
+    stacked chunk of them (step trials) if that is fewer, so a heavy trial
+    costs no long wait alone; a batch it keeps runs as one block. Only time and trial caps are read, and no trial depends on who
     runs it, so no result moves.
     telemetry gets "workers_started": W - 1 once the pool starts, else 0.
 
@@ -737,14 +731,17 @@ class _Runner:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self.pool is not None:
-            self.pool.__exit__(*exc_info)
-        if self.blas_threads not in (None, 1):
-            _set_blas_threads(_blas_threads(), self.blas_threads)
+        try:
+            if self.pool is not None:
+                self.pool.__exit__(*exc_info)
+        finally:
+            if self.blas_threads not in (None, 1):
+                _set_blas_threads(_blas_threads(), self.blas_threads)
 
     def _pays(self, left: int) -> bool:
         per_trial = self.seconds / self.trials if self.trials else 0.0
-        return per_trial * left * (self.width - 1) / self.width >= _POOL_COST_S
+        workers = self.width - 1
+        return per_trial * left * workers / self.width >= workers * _POOL_COST_S
 
     def map(self, block, arg, start: int, stop: int, later: int, step: int) -> list:
         """block(arg, lo, hi) over chunks lo..hi-1 that cover the batch

@@ -346,7 +346,10 @@ def _small_ber_configs(draw):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(_small_ber_configs())
 def test_ber_sweep_counts_equal_serial_and_parallel(cfg):
-    assert run_ber_sweep(replace(cfg, workers=2)) == run_ber_sweep(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_POOL_COST_S", 0.0)  # the pool starts at once
+        parallel = run_ber_sweep(replace(cfg, workers=2))
+    assert parallel == run_ber_sweep(cfg)
 
 
 def test_variance_trial_returns_ground_truth_pair():
@@ -383,12 +386,13 @@ def test_ber_sweep_counts_and_stopping():
     assert records[0].seed != records[1].seed
 
 
-def test_ber_sweep_serial_parallel_identical():
+def test_ber_sweep_serial_parallel_identical(monkeypatch):
     base = ExperimentConfig(
         m=2, n=2, scheme="rf_baseline", detector="zf",
         snr_db_list=(5.0, 15.0), trials=600, target_errors=100, master_seed=9,
     )
     serial = run_ber_sweep(base)
+    monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)  # the pool starts at once
     parallel = run_ber_sweep(replace(base, workers=3))
     assert serial == parallel
 
@@ -402,14 +406,16 @@ def _worker_threads(cfg, lo, hi):
     return os.getpid(), montecarlo._blas_threads().get(), len(os.listdir("/proc/self/task"))
 
 
-def test_pool_workers_use_one_blas_thread():
+def test_pool_workers_use_one_blas_thread(monkeypatch):
     global _barrier
     if montecarlo._blas_threads() is None:
         pytest.skip("this process has no OpenBLAS with a thread-count control")
     np.ones((256, 256)) @ np.ones((256, 256))  # the parent's BLAS team is running
     _barrier = multiprocessing.Barrier(4)
-    with montecarlo._Workers(3) as pool:
-        seen = {pid: (blas, tasks) for pid, blas, tasks in pool.map(_worker_threads, None, 0, 4)}
+    monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)  # the pool starts at once
+    with montecarlo._Runner(4) as run:
+        chunks = run.map(_worker_threads, None, 0, 4, later=0, step=1)
+    seen = {pid: (blas, tasks) for pid, blas, tasks in chunks}
     here = seen.pop(os.getpid())
     # one BLAS thread, and no idle BLAS team left spinning beside it
     assert list(seen.values()) == [(1, 1)] * 3
@@ -485,6 +491,7 @@ def test_caller_runs_one_blas_thread_in_a_parallel_run_that_never_forks(monkeypa
 
 def test_parallel_without_blas_control_matches_serial(monkeypatch):
     monkeypatch.setattr(montecarlo, "_blas_threads", lambda: None)
+    monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)  # the pool starts at once
     base = ExperimentConfig(
         m=2, n=2, scheme="rf_baseline", detector="zf",
         snr_db_list=(5.0, 15.0), trials=600, target_errors=100, master_seed=9,
@@ -528,11 +535,16 @@ def _process_starts(monkeypatch) -> list:
     return started
 
 
-@pytest.mark.parametrize("first_chunk_s, forks", [(0.5, False), (1.0, True)])
+@pytest.mark.parametrize("width, first_chunk_s, forks", [
+    (2, 0.5, False), (2, 1.0, True), (3, 0.5, False), (3, 1.0, True),
+])
 def test_workers_start_only_when_the_projected_saving_covers_their_cost(
-        monkeypatch, first_chunk_s, forks):
+        monkeypatch, width, first_chunk_s, forks):
     # 64 trials at width 2: the caller times a 16-trial chunk alone; the other
     # 48 would save 48 x first_chunk_s / 16 x (2 - 1) / 2 = 1.5 x first_chunk_s
+    # against one worker's cost. At width 3 it times 11 trials, and the other
+    # 53 would save 53 x first_chunk_s / 11 x (3 - 1) / 3 = 3.2 x first_chunk_s
+    # against two workers' cost
     cfg = ExperimentConfig(
         m=4, n=2, scheme="rf_baseline", detector="zf",
         snr_db_list=(6.0,), trials=64, target_errors=0, master_seed=3,
@@ -543,8 +555,8 @@ def test_workers_start_only_when_the_projected_saving_covers_their_cost(
     monkeypatch.setattr(montecarlo, "perf_counter", clock)
     started = _process_starts(monkeypatch)
     telemetry = {}
-    assert run_ber_sweep(replace(cfg, workers=2), telemetry) == serial
-    assert len(started) == telemetry["workers_started"] == (1 if forks else 0)
+    assert run_ber_sweep(replace(cfg, workers=width), telemetry) == serial
+    assert len(started) == telemetry["workers_started"] == (width - 1 if forks else 0)
     # alone, the caller ran the rest of the batch as one block
     assert clock.blocks == (1 if forks else 2)
 
@@ -743,12 +755,13 @@ def test_ctrl_c_while_a_worker_starts_reaches_only_the_caller():
         assert proc.returncode == -signal.SIGINT and out == "", (proc.returncode, out)
 
 
-def test_variance_sweep_serial_parallel_identical():
+def test_variance_sweep_serial_parallel_identical(monkeypatch):
     base = ExperimentConfig(
         m=64, n=2, scheme="prss", rsr_db=30.0, sigma_v_sq=0.1,
         phi_list=(PI / 2, PI / 4), samples=2000, master_seed=10,
     )
     serial = run_phi_sweep(base)
+    monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)  # the pool starts at once
     parallel = run_phi_sweep(replace(base, workers=3))
     assert serial == parallel  # ordered reduction: bit-identical floats
 
