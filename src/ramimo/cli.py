@@ -350,16 +350,19 @@ def main(argv=None) -> int:
     telemetry = {"workers_started": 0}
     try:
         resolved = _resolve(args, command)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:  # an existing file, say, or a read-only parent
+            raise UsageError(f"cannot create output directory {args.out}: {exc.strerror or exc}")
         rows, comments = _RUNNERS[command](resolved, telemetry)
         _write_csv(f"{stem}.csv", CSV_HEADERS[command], rows, comments)
+        _write_manifest(f"{stem}.manifest.json", command, resolved, [f"{stem}.csv"], telemetry)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
-    _write_manifest(f"{stem}.manifest.json", command, resolved, [f"{stem}.csv"], telemetry)
     print(f"wrote {stem}.csv\nwrote {stem}.manifest.json")
     return 0
 

@@ -17,15 +17,14 @@ whose points compute what they share once (`_Shared`); the frontend,
 reconstruction, detection, demapping and bit counting of a BER chunk. A
 stacked value is bit for bit what its trial gives alone.
 
-A run with W > 1 workers starts on the calling process alone, which times
-the first trials it runs. Before each later batch, or variance point, it
-forks W - 1 worker processes, to run trials beside it for the rest of the
-sweep, once the time they would save on the trials the sweep may still run
-covers what starting them costs (`_POOL_COST_S`); until then it runs each
-batch as one block. Such a run keeps OpenBLAS on one thread in every
-process, the caller included, so W processes keep W cores busy instead of
-W times OpenBLAS's own thread count; a serial run keeps the process's BLAS
-threads.
+One `_Runner` starts, feeds and joins a sweep's processes. With W > 1 it
+runs trials on the calling process alone, which times them, until the time
+that W - 1 forked workers would save on the trials the sweep may still run
+covers what starting them costs (`_POOL_COST_S`); the workers then run
+trials beside it for the rest of the sweep. Such a run keeps OpenBLAS on
+one thread in every process, the caller included, so W processes keep W
+cores busy instead of W times OpenBLAS's own thread count; a serial run
+keeps the process's BLAS threads.
 """
 
 from __future__ import annotations
@@ -512,27 +511,21 @@ def _blas_threads() -> _BlasThreads | None:
     return None
 
 
-def _set_blas_threads(api: _BlasThreads, count: int) -> None:
-    api.set(count)
-    # After a fork the call above restarts OpenBLAS's thread team, which
-    # spin-waits for about 0.1 s of CPU before it sleeps. Stop it: the next
-    # call that needs more than one thread starts it again.
-    if api.shutdown is not None:
-        api.shutdown()
-
-
-def _one_blas_thread() -> int | None:
-    """Run this process's OpenBLAS on one thread; return its former count.
-
-    None when the thread count is out of reach (see _blas_threads).
-    """
+def _set_blas_threads(count: int) -> int | None:
+    """Run this process's OpenBLAS on count threads; return its former count,
+    or None when the count is out of reach (see _blas_threads)."""
     api = _blas_threads()
     if api is None:
         return None
-    threads = api.get()
-    if threads != 1:
-        _set_blas_threads(api, 1)
-    return threads
+    former = api.get()
+    if former != count:
+        api.set(count)
+        # After a fork the call above restarts OpenBLAS's thread team, which
+        # spin-waits for about 0.1 s of CPU before it sleeps. Stop it: the
+        # next call that needs more than one thread starts it again.
+        if api.shutdown is not None:
+            api.shutdown()
+    return former
 
 
 # chunks per process in a parallel batch: each chunk pays a fixed cost of
@@ -566,25 +559,8 @@ def _take(counter, block, arg, start: int, stop: int, width: int) -> dict:
         done[lo] = block(arg, lo, hi)
 
 
-# a worker starts with Ctrl-C held off (see _sigint_held) where the platform can
+# a worker starts with Ctrl-C held off (see _Runner._start) where the platform can
 _HOLD_SIGINT = hasattr(signal, "pthread_sigmask")
-
-
-@contextlib.contextmanager
-def _sigint_held():
-    """Hold off SIGINT in this thread for the span of a `with`, and in every
-    process it forks meanwhile. Ctrl-C that reaches a worker before `_serve`
-    runs would otherwise print a traceback from the interpreter's fork
-    handlers; held off, it ends the worker quietly once `_serve` lets it in,
-    and reaches the caller as KeyboardInterrupt when the `with` ends."""
-    if not _HOLD_SIGINT:
-        yield
-        return
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        yield
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def _serve(conn, counter, width: int) -> None:
@@ -592,7 +568,7 @@ def _serve(conn, counter, width: int) -> None:
     claim chunks with _take and send back their results, or the exception
     that stopped it, until None arrives. A worker whose caller has died, or
     that Ctrl-C reaches after it started, exits without a word."""
-    _one_blas_thread()
+    _set_blas_threads(1)
     # a forked worker may hold the caller's end of its own pipe, so the pipe
     # need not close when the caller dies; the caller's sentinel does
     watched = [conn, multiprocessing.parent_process().sentinel]
@@ -612,74 +588,14 @@ def _serve(conn, counter, width: int) -> None:
         pass
 
 
-class _Workers:
-    """Worker processes beside the calling process, for the span of a `with`.
-
-    `map` runs a batch of trials on the calling process and the workers
-    together. Each process claims the next chunk of trials from a shared
-    counter when it is free, so a process that runs slower, such as a worker
-    still warming up or one whose core is busy, takes fewer trials instead of
-    holding the others up. Results are keyed by the chunk's first trial and
-    returned in trial order, so they do not depend on which process ran
-    what. Each worker runs OpenBLAS on one thread; the caller's own thread
-    count is `_Runner`'s to set.
-    """
-
-    def __init__(self, count: int):
-        self.count = count
-        self.conns = []
-        self.procs = []
-
-    def __enter__(self) -> "_Workers":
-        ctx = multiprocessing.get_context()
-        self.counter = ctx.Value("q", 0)
-        width = self.count + 1
-        try:
-            with _sigint_held():
-                for _ in range(self.count):
-                    conn, theirs = ctx.Pipe()
-                    self.conns.append(conn)
-                    proc = ctx.Process(
-                        target=_serve, args=(theirs, self.counter, width), daemon=True
-                    )
-                    proc.start()
-                    theirs.close()
-                    self.procs.append(proc)
-        except BaseException:
-            self.__exit__()
-            raise
-        return self
-
-    def map(self, block, arg, start: int, stop: int) -> list:
-        """block(arg, lo, hi) over chunks lo..hi-1 that cover the batch
-        start..stop-1, in trial order, as the processes claimed them."""
-        self.counter.value = start
-        for conn in self.conns:
-            conn.send((block, arg, start, stop))
-        try:
-            done = _take(self.counter, block, arg, start, stop, self.count + 1)
-        except BaseException:
-            # an interrupt or a failed chunk: the workers stop after the chunks they hold
-            with self.counter.get_lock():
-                self.counter.value = stop
-            raise
-        finally:
-            replies = [conn.recv() for conn in self.conns]  # every pipe drained
-        for reply in replies:
-            if isinstance(reply, BaseException):
-                raise reply
-            done.update(reply)
-        return [done[lo] for lo in sorted(done)]
-
-    def __exit__(self, *exc_info) -> None:
-        for conn in self.conns:
-            try:
-                conn.send(None)
-            except OSError:  # the worker is gone already
-                pass
-            conn.close()
-        for proc in self.procs:
-            proc.join()
+def _reply(conn, proc):
+    """What worker proc sent back on conn for a batch, or, if it died and its
+    pipe reads as a bare EOFError, a RuntimeError that names it."""
+    try:
+        return conn.recv()
+    except EOFError:
+        proc.join()
+        return RuntimeError(f"worker {proc.pid} died in a batch (exit code {proc.exitcode})")
 
 
 # What starting each of a sweep's W - 1 workers costs the caller, in
@@ -696,47 +612,84 @@ _POOL_COST_S = 0.008
 
 class _Runner:
     """Runs one sweep's batches, for the span of a `with`: on the caller
-    alone until forking W - 1 workers pays for itself, then on a `_Workers`
-    pool for the rest of the sweep.
+    alone until forking W - 1 workers pays for itself, then on every process
+    for the rest of the sweep.
 
     Ski rental (Karlin, Manasse, Rudolph and Sleator, 1988): before each
-    batch the pool starts if the time it would save, (the caller's measured
-    seconds per trial) x (trials the sweep may still run) x (W - 1) / W,
-    covers its cost, (W - 1) x _POOL_COST_S, so with _POOL_COST_S = 0 it
-    starts before the first trial. With nothing measured yet the caller
-    first times the ceil(B / 2W) trials it would have claimed anyway, or one
-    stacked chunk of them (step trials) if that is fewer, so a heavy trial
-    costs no long wait alone; a batch it keeps runs as one block. Only time and trial caps are read, and no trial depends on who
-    runs it, so no result moves.
-    telemetry gets "workers_started": W - 1 once the pool starts, else 0.
+    batch the workers start if the time they would save, (the caller's
+    measured seconds per trial) x (trials the sweep may still run) x
+    (W - 1) / W, covers their cost, (W - 1) x _POOL_COST_S, so with
+    _POOL_COST_S = 0 they start before the first trial. With nothing
+    measured yet the caller first times the ceil(B / 2W) trials it would
+    have claimed anyway, or one stacked chunk of them (step trials) if that
+    is fewer, so a heavy trial costs no long wait alone; a batch it keeps
+    runs as one block. Only time and trial caps are read, and no trial
+    depends on who runs it, so no result moves. telemetry gets
+    "workers_started": W - 1 once the workers start, else 0.
 
-    The caller runs OpenBLAS on one thread from the start, as it would
-    beside the workers, so the run's manifest says true whether or not they
-    start; on a 2-vCPU host a 128x64 ZF trial also runs faster that way. It
-    gets its own thread count back on exit.
+    Once the workers start, each process claims the next chunk of a batch
+    from a shared counter when it is free, so a slower one (a worker warming
+    up, or one on a busy core) takes fewer trials instead of holding the
+    others up. Results are keyed by the chunk's first trial and returned in
+    trial order, whichever process ran them.
+
+    Every process of a run with W > 1 runs OpenBLAS on one thread, the
+    caller from the start, so the manifest says true whether or not the
+    workers start; on a 2-vCPU host a 128x64 ZF trial also runs faster that
+    way. On exit the caller joins every worker that started, then gets its
+    own thread count back.
     """
 
     def __init__(self, width: int, telemetry: dict | None = None):
         self.width = width
         self.telemetry = {} if telemetry is None else telemetry
         self.telemetry["workers_started"] = 0
-        self.pool = None
+        self.conns = []
+        self.procs = []
         self.blas_threads = None
         self.seconds = 0.0  # the caller's time on the trials it ran alone
         self.trials = 0
 
     def __enter__(self) -> "_Runner":
         if self.width > 1:
-            self.blas_threads = _one_blas_thread()
+            self.blas_threads = _set_blas_threads(1)
         return self
 
     def __exit__(self, *exc_info) -> None:
         try:
-            if self.pool is not None:
-                self.pool.__exit__(*exc_info)
+            for conn in self.conns:
+                with contextlib.suppress(OSError):  # the worker may be gone already
+                    conn.send(None)
+                conn.close()
+            for proc in self.procs:
+                proc.join()
         finally:
-            if self.blas_threads not in (None, 1):
-                _set_blas_threads(_blas_threads(), self.blas_threads)
+            if self.blas_threads is not None:
+                _set_blas_threads(self.blas_threads)
+
+    def _start(self) -> None:
+        """Fork the W - 1 workers, which serve `map` until `__exit__`."""
+        ctx = multiprocessing.get_context()
+        self.counter = ctx.Value("q", 0)
+        # SIGINT is held off here, and so in each worker forked meanwhile:
+        # Ctrl-C in a worker's fork handlers would print a traceback. It ends
+        # the worker quietly once `_serve` lets it in, and reaches the caller
+        # as KeyboardInterrupt when the mask is restored.
+        if _HOLD_SIGINT:
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for _ in range(self.width - 1):
+                conn, theirs = ctx.Pipe()
+                proc = ctx.Process(target=_serve, args=(theirs, self.counter, self.width),
+                                   daemon=True)
+                proc.start()
+                theirs.close()
+                self.conns.append(conn)
+                self.procs.append(proc)
+        finally:
+            if _HOLD_SIGINT:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        self.telemetry["workers_started"] = self.width - 1
 
     def _pays(self, left: int) -> bool:
         per_trial = self.seconds / self.trials if self.trials else 0.0
@@ -745,16 +698,13 @@ class _Runner:
 
     def map(self, block, arg, start: int, stop: int, later: int, step: int) -> list:
         """block(arg, lo, hi) over chunks lo..hi-1 that cover the batch
-        start..stop-1, in trial order, as `_Workers.map` gives them; later
-        is the number of trials the sweep may run after this batch, and
-        block stacks step trials at a time."""
+        start..stop-1, in trial order; later counts the trials the sweep may
+        run after this batch, and block stacks step trials at a time."""
         done = []
-        while start < stop:
-            if self.pool is None and self.width > 1 and self._pays(stop - start + later):
-                self.pool = _Workers(self.width - 1).__enter__()
-                self.telemetry["workers_started"] = self.width - 1
-            if self.pool is not None:
-                return done + self.pool.map(block, arg, start, stop)
+        while start < stop and not self.procs:
+            if self.width > 1 and self._pays(stop - start + later):
+                self._start()
+                continue
             hi = stop
             if self.width > 1 and not self.trials:  # a first chunk to time
                 hi = start + min(_chunk(start, stop, self.width), step)
@@ -763,7 +713,25 @@ class _Runner:
             self.seconds += perf_counter() - began
             self.trials += hi - start
             start = hi
-        return done
+        if start >= stop:
+            return done
+        self.counter.value = start
+        for conn in self.conns:
+            conn.send((block, arg, start, stop))
+        try:
+            claimed = _take(self.counter, block, arg, start, stop, self.width)
+        except BaseException:
+            # an interrupt or a failed chunk: the workers stop after the chunks they hold
+            with self.counter.get_lock():
+                self.counter.value = stop
+            raise
+        finally:  # every pipe drained, so the next batch reads only its own replies
+            replies = [_reply(conn, proc) for conn, proc in zip(self.conns, self.procs)]
+        for reply in replies:
+            if isinstance(reply, BaseException):
+                raise reply
+            claimed.update(reply)
+        return done + [claimed[lo] for lo in sorted(claimed)]
 
 
 def run_environment(workers: int) -> dict:

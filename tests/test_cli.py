@@ -149,6 +149,17 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["rsr-sweep", "--rsr-db-list", "", "--out", out]) == 2
     assert main(["ber", "--snr-db-list", "4,x", "--out", out]) == 2
     assert main(["ber", "--config", str(tmp_path / "missing.ini"), "--out", out]) == 2
+    taken = tmp_path / "taken"  # --out names a file, so the directory cannot be made
+    taken.write_text("")
+    assert main(["ber", "--snr-db-list", "4", "--out", str(taken)]) == 2
+
+
+def test_a_failed_manifest_write_is_a_runtime_failure(tmp_path, capsys):
+    (tmp_path / "trace_curve.manifest.json").mkdir()
+    assert main(["trace-curve", "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("runtime failure: ") and "trace_curve.manifest.json" in err, err
+    assert out == ""  # nothing claims the manifest was written
 
 
 # unusable config files: name -> (text, what the error must name besides the file)

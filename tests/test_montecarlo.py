@@ -429,11 +429,12 @@ def _trial_indices(refuse_odd, lo, hi):
 
 
 def test_worker_exception_reaches_caller():
-    with montecarlo._Workers(2) as pool:
+    with montecarlo._Runner(3) as run:
+        run._start()
         with pytest.raises(ValueError, match="trial"):
-            pool.map(_trial_indices, True, 0, 40)
+            run.map(_trial_indices, True, 0, 40, later=0, step=1)
         # every reply was drained: a later batch gets its own results, in order
-        chunks = pool.map(_trial_indices, False, 10, 50)
+        chunks = run.map(_trial_indices, False, 10, 50, later=0, step=1)
         assert [t for chunk in chunks for t in chunk] == list(range(10, 50))
         # two chunks per process (three processes): ceil(40 / 6) trials, the last the rest
         assert [len(chunk) for chunk in chunks] == [7] * 5 + [5]
@@ -458,6 +459,56 @@ def test_parent_blas_threads_untouched_by_pool():
         assert api.get() == 2
     finally:
         api.set(original)
+
+
+def _refuse(cfg, lo, hi):
+    raise ValueError(f"trial {lo}")
+
+
+def test_a_failed_pooled_sweep_joins_its_workers_and_restores_blas_threads(monkeypatch):
+    api = montecarlo._blas_threads()
+    if api is None:
+        pytest.skip("this process has no OpenBLAS with a thread-count control")
+    monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)  # the pool starts at once
+    monkeypatch.setattr(montecarlo, "_ber_block", _refuse)  # every chunk fails
+    started = _process_starts(monkeypatch)
+    cfg = ExperimentConfig(
+        m=2, n=2, scheme="rf_baseline", detector="zf",
+        snr_db_list=(5.0,), trials=300, master_seed=9, workers=3,
+    )
+    original = api.get()
+    api.set(2)
+    try:
+        with pytest.raises(ValueError, match="trial"):
+            run_ber_sweep(cfg)
+        assert len(started) == 2 and all(proc.exitcode is not None for proc in started)
+        assert api.get() == 2
+    finally:
+        api.set(original)
+
+
+_claimed = None  # set before the worker forks, so it inherits it
+
+
+def _die_in_a_worker(caller, lo, hi):
+    """Kill the worker that runs this chunk; the caller's chunks wait until one has."""
+    if os.getpid() != caller:
+        _claimed.set()
+        os.kill(os.getpid(), signal.SIGKILL)
+    assert _claimed.wait(timeout=60)
+    return lo
+
+
+def test_a_worker_that_dies_reaches_the_caller_by_pid_and_exit_code(monkeypatch):
+    global _claimed
+    _claimed = multiprocessing.Event()
+    monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)  # the pool starts at once
+    with montecarlo._Runner(2) as run:
+        with pytest.raises(RuntimeError) as failure:
+            run.map(_die_in_a_worker, os.getpid(), 0, 32, later=0, step=1)
+        [proc] = run.procs
+    assert str(failure.value) == (
+        f"worker {proc.pid} died in a batch (exit code {-signal.SIGKILL})")
 
 
 def test_caller_runs_one_blas_thread_in_a_parallel_run_that_never_forks(monkeypatch):
@@ -621,7 +672,8 @@ def slow(seconds, lo, hi):
     time.sleep(seconds * (hi - lo))
     return lo
 
-run = montecarlo._Workers(1).__enter__()
+run = montecarlo._Runner(2).__enter__()
+run._start()
 print(*(proc.pid for proc in run.procs), flush=True)
 """
 
@@ -658,7 +710,7 @@ def _assert_exit(pids, seconds: float = 30.0) -> None:
 
 def test_no_worker_outlives_its_run():
     with _interpreter(_RUN_SCRIPT + """
-assert run.map(slow, 0.0, 0, 64) == list(range(0, 64, 16))
+assert run.map(slow, 0.0, 0, 64, 0, 1) == list(range(0, 64, 16))
 run.__exit__()
 print(run.procs[0].exitcode, flush=True)
 """) as proc:
@@ -682,7 +734,7 @@ def test_workers_exit_quietly_when_their_caller_is_killed():
 # 64 trials of 0.25 s at width 2: four chunks of 4 s, 8 s for the batch
 _INTERRUPTED_BATCH = _RUN_SCRIPT + """
 try:
-    run.map(slow, 0.25, 0, 64)
+    run.map(slow, 0.25, 0, 64, 0, 1)
 except KeyboardInterrupt:
     print("interrupted", flush=True)
 run.__exit__()
