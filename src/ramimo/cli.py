@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from functools import lru_cache
 
@@ -52,17 +53,6 @@ DEFAULTS = {
     },
     "trace-curve": {"sigma_v_sq": 0.1, "u_mod": 1.0, "phi_grid": ""},
 }
-
-CSV_HEADERS = {
-    "phi-sweep": ["phi_rad", "sigma_ve_sq", "sigma_v_sq", "rsr_db", "samples", "seed"],
-    "rsr-sweep": ["rsr_db", "sigma_v_sq", "sigma_ve_sq", "samples", "seed"],
-    "ber": [
-        "scheme", "detector", "snr_db", "rsr_db", "m", "n", "qam",
-        "bit_errors", "bits_total", "ber", "ci95", "seed",
-    ],
-    "trace-curve": ["phi_rad", "predicted_trace", "predicted_mse", "sigma_v_sq", "u_mod"],
-}
-
 
 class UsageError(ValueError):
     pass
@@ -167,7 +157,7 @@ def _open_config(path: str):
         raise UsageError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
 
 
-def _load_config_layer(path: str, command: str) -> dict:
+def _load_config_layer(path: str, command: str, keys) -> dict:
     if path.endswith(".json"):
         with _open_config(path) as fh:
             try:
@@ -187,9 +177,12 @@ def _load_config_layer(path: str, command: str) -> dict:
             ini.read_file(fh)
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise UsageError(f"{path}: not an INI config: {exc}") from exc
-    if ini.has_section(command):
-        return {k.replace("-", "_"): v for k, v in ini.items(command)}
-    return {k.replace("-", "_"): v for k, v in ini.items("DEFAULT")}
+    if not ini.has_section(command):
+        return {k.replace("-", "_"): v for k, v in ini.items("DEFAULT")}
+    for key in ini.options(command):  # [DEFAULT]'s keys may serve another command
+        if key not in ini.defaults() and key.replace("-", "_") not in keys:
+            raise UsageError(f"{path}: {key!r} is not a key of [{command}]")
+    return {k.replace("-", "_"): v for k, v in ini.items(command)}
 
 
 def _coerce(value, kind: type, where: str):
@@ -208,10 +201,10 @@ def _coerce(value, kind: type, where: str):
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
     """Materialize the full config: flags over config file over defaults."""
-    layer = _load_config_layer(args.config, command) if args.config else {}
     defaults = {
         **DEFAULTS[command], "seed": ExperimentConfig.master_seed, "threads": _usable_cores(),
     }
+    layer = _load_config_layer(args.config, command, defaults) if args.config else {}
     resolved = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
@@ -235,6 +228,15 @@ def _write_csv(path: str, header: list[str], rows, comments=()) -> None:
         for comment in comments:
             fh.write(f"# {comment}\n")
         writer.writerows(rows)
+
+
+def _table(records: list) -> tuple[list[str], list[list]]:
+    """A sweep's CSV header and rows: the header is its record type's field
+    names, in order, and a field declared float is written through `_g`."""
+    columns = [(f.name, f.type == "float") for f in fields(records[0])]
+    rows = [[_g(getattr(r, name)) if is_float else getattr(r, name) for name, is_float in columns]
+            for r in records]
+    return [name for name, _ in columns], rows
 
 
 def _write_manifest(path: str, command: str, resolved: dict, outputs: list[str],
@@ -270,21 +272,16 @@ def _phi_grid_from(resolved: dict) -> tuple[tuple[float, ...], list[str]]:
     return usable, [f"skipped phi={_g(p)}: singular offset" for p in skipped]
 
 
-def _cmd_phi_sweep(resolved: dict, telemetry: dict) -> tuple[list, list[str]]:
+def _cmd_phi_sweep(resolved: dict, telemetry: dict) -> tuple[list[str], list, list[str]]:
     usable, comments = _phi_grid_from(resolved)
     cfg = _checked_config(
         resolved, scheme="prss", rsr_db=resolved["rsr_db"],
         sigma_v_sq=resolved["sigma_v_sq"], phi_list=usable, samples=resolved["samples"],
     )
-    records = run_phi_sweep(cfg, telemetry)
-    rows = [
-        [_g(r.phi), _g(r.sigma_ve_sq), _g(r.sigma_v_sq), _g(r.rsr_db), r.samples, r.seed]
-        for r in records
-    ]
-    return rows, comments
+    return *_table(run_phi_sweep(cfg, telemetry)), comments
 
 
-def _cmd_rsr_sweep(resolved: dict, telemetry: dict) -> tuple[list, list[str]]:
+def _cmd_rsr_sweep(resolved: dict, telemetry: dict) -> tuple[list[str], list, list[str]]:
     rsr_list = _float_list(resolved["rsr_db_list"])
     sv_list = _float_list(resolved["sigma_v_sq_list"])
     if not rsr_list or not sv_list:
@@ -293,15 +290,10 @@ def _cmd_rsr_sweep(resolved: dict, telemetry: dict) -> tuple[list, list[str]]:
         resolved, scheme="prss", rsr_db_list=rsr_list, sigma_v_sq_list=sv_list,
         samples=resolved["samples"],
     )
-    records = run_rsr_sweep(cfg, telemetry)
-    rows = [
-        [_g(r.rsr_db), _g(r.sigma_v_sq), _g(r.sigma_ve_sq), r.samples, r.seed]
-        for r in records
-    ]
-    return rows, []
+    return *_table(run_rsr_sweep(cfg, telemetry)), []
 
 
-def _cmd_ber(resolved: dict, telemetry: dict) -> tuple[list, list[str]]:
+def _cmd_ber(resolved: dict, telemetry: dict) -> tuple[list[str], list, list[str]]:
     snr_list = _float_list(resolved["snr_db_list"])
     if not snr_list:
         raise UsageError("snr-db-list must not be empty")
@@ -310,17 +302,10 @@ def _cmd_ber(resolved: dict, telemetry: dict) -> tuple[list, list[str]]:
         rsr_db=resolved["rsr_db"], phi=resolved["phi"], snr_db_list=snr_list,
         trials=resolved["trials"], target_errors=resolved["target_errors"],
     )
-    records = run_ber_sweep(cfg, telemetry)
-    rows = [
-        [r.scheme, r.detector, _g(r.snr_db), _g(r.rsr_db), r.m, r.n, r.qam,
-         r.estimate.bit_errors, r.estimate.bits_total, _g(r.estimate.ber),
-         _g(r.estimate.half_width_95), r.seed]
-        for r in records
-    ]
-    return rows, []
+    return *_table(run_ber_sweep(cfg, telemetry)), []
 
 
-def _cmd_trace_curve(resolved: dict, telemetry: dict) -> tuple[list, list[str]]:
+def _cmd_trace_curve(resolved: dict, telemetry: dict) -> tuple[list[str], list, list[str]]:
     u_mod = resolved["u_mod"]
     sv = resolved["sigma_v_sq"]
     if not (math.isfinite(u_mod) and u_mod > 0):
@@ -328,11 +313,12 @@ def _cmd_trace_curve(resolved: dict, telemetry: dict) -> tuple[list, list[str]]:
     if not (math.isfinite(sv) and sv >= 0):
         raise UsageError(f"sigma-v-sq must be finite and >= 0, got {sv}")
     usable, comments = _phi_grid_from(resolved)
-    rows = [
-        [_g(p), _g(predicted_trace(p, u_mod)), _g(predicted_mse(p, sv)), _g(sv), _g(u_mod)]
-        for p in usable
-    ]
-    return rows, comments
+    rows = [[p, predicted_trace(p, u_mod), predicted_mse(p, sv), sv, u_mod] for p in usable]
+    for p, trace, mse, _, _ in rows:  # an extreme u-mod or sigma-v-sq overflows them
+        if not (math.isfinite(trace) and trace > 0 and math.isfinite(mse)):
+            raise UsageError(f"predicted trace {trace} or MSE {mse} at phi={p} is out of range")
+    header = ["phi_rad", "predicted_trace", "predicted_mse", "sigma_v_sq", "u_mod"]
+    return header, [[_g(v) for v in row] for row in rows], comments
 
 
 _RUNNERS = {
@@ -354,8 +340,8 @@ def main(argv=None) -> int:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:  # an existing file, say, or a read-only parent
             raise UsageError(f"cannot create output directory {args.out}: {exc.strerror or exc}")
-        rows, comments = _RUNNERS[command](resolved, telemetry)
-        _write_csv(f"{stem}.csv", CSV_HEADERS[command], rows, comments)
+        header, rows, comments = _RUNNERS[command](resolved, telemetry)
+        _write_csv(f"{stem}.csv", header, rows, comments)
         _write_manifest(f"{stem}.manifest.json", command, resolved, [f"{stem}.csv"], telemetry)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

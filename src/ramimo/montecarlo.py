@@ -183,22 +183,8 @@ class ExperimentConfig:
         return 16 if self.scheme == "prss" else 4
 
 
-@dataclass(frozen=True)
-class BerEstimate:
-    """Accumulated error counts with a normal-approximation confidence width."""
-
-    bit_errors: int
-    bits_total: int
-    ber: float
-    half_width_95: float
-
-    @classmethod
-    def from_counts(cls, bit_errors: int, bits_total: int) -> "BerEstimate":
-        p = bit_errors / bits_total
-        hw = 1.96 * math.sqrt(p * (1.0 - p) / bits_total)
-        return cls(bit_errors=bit_errors, bits_total=bits_total, ber=p, half_width_95=hw)
-
-
+# The fields of each sweep record type are the columns of its command's CSV,
+# in order: the CLI writes a sweep's header and rows from its records.
 @dataclass(frozen=True)
 class BerSweepRecord:
     scheme: str
@@ -208,14 +194,16 @@ class BerSweepRecord:
     m: int
     n: int
     qam: int
-    estimate: BerEstimate
-    trials: int
+    bit_errors: int
+    bits_total: int
+    ber: float
+    ci95: float  # half-width of the normal-approximation (Wald) 95% interval
     seed: int
 
 
 @dataclass(frozen=True)
 class PhiSweepRecord:
-    phi: float
+    phi_rad: float
     sigma_ve_sq: float
     sigma_v_sq: float
     rsr_db: float
@@ -433,9 +421,10 @@ def _variance_chunk(cfg: ExperimentConfig, keys: np.ndarray, points) -> np.ndarr
     ])
 
 
-def _ber_point(cfg: ExperimentConfig, run: _Runner, later: int) -> tuple[BerEstimate, int]:
-    """Accumulate trials in batches until target_errors or the trial cap is
-    hit; later is the number of trials the sweep's later points may run."""
+def _ber_point(cfg: ExperimentConfig, run: _Runner, later: int) -> tuple[int, int]:
+    """(bit errors, bits) of trials accumulated in batches until target_errors
+    or the trial cap is hit; later is the number of trials the sweep's later
+    points may run."""
     errors = 0
     bits = 0
     done = 0
@@ -448,7 +437,7 @@ def _ber_point(cfg: ExperimentConfig, run: _Runner, later: int) -> tuple[BerEsti
         done = batch_stop
         if cfg.target_errors and errors >= cfg.target_errors:
             break
-    return BerEstimate.from_counts(errors, bits), done
+    return errors, bits
 
 
 def _variance_points(cfg: ExperimentConfig, points, run: _Runner,
@@ -774,7 +763,8 @@ def run_ber_sweep(cfg: ExperimentConfig, telemetry: dict | None = None) -> list[
                 cfg, sigma_v_sq=snr_db_to_sigma_v_sq(snr_db), master_seed=seed
             )
             later = (len(cfg.snr_db_list) - 1 - i) * cfg.trials
-            est, trials = _ber_point(point, run, later)
+            errors, bits = _ber_point(point, run, later)
+            ber = errors / bits
             records.append(
                 BerSweepRecord(
                     scheme=cfg.scheme,
@@ -784,8 +774,10 @@ def run_ber_sweep(cfg: ExperimentConfig, telemetry: dict | None = None) -> list[
                     m=cfg.m,
                     n=cfg.n,
                     qam=cfg.order,
-                    estimate=est,
-                    trials=trials,
+                    bit_errors=errors,
+                    bits_total=bits,
+                    ber=ber,
+                    ci95=1.96 * math.sqrt(ber * (1.0 - ber) / bits),
                     seed=seed,
                 )
             )
@@ -809,7 +801,7 @@ def run_phi_sweep(cfg: ExperimentConfig, telemetry: dict | None = None) -> list[
             )
             records.append(
                 PhiSweepRecord(
-                    phi=phi,
+                    phi_rad=phi,
                     sigma_ve_sq=sigma_ve_sq,
                     sigma_v_sq=cfg.sigma_v_sq,
                     rsr_db=cfg.rsr_db,

@@ -106,7 +106,8 @@ def predicted_trace(phi: float, u_mod: float = 1.0) -> float:
     s = np.sin(phi)
     if abs(s) < SIN_PHI_TOL:
         raise SingularOffsetError(f"phi={phi} gives a singular measurement matrix")
-    return 2.0 / (u_mod**2 * s**2)
+    with np.errstate(over="ignore", divide="ignore"):  # inf or 0 at extreme u_mod
+        return 2.0 / (np.float64(u_mod) ** 2 * s**2)
 
 
 def predicted_mse(phi: float, sigma_v_sq: float) -> float:
@@ -116,4 +117,5 @@ def predicted_mse(phi: float, sigma_v_sq: float) -> float:
     variance sigma_v_sq/2, so the LS error is (sigma_v_sq/2) * predicted_trace.
     At phi = +-pi/2 this equals sigma_v_sq: no noise amplification.
     """
-    return 0.5 * sigma_v_sq * predicted_trace(phi, 1.0)
+    with np.errstate(over="ignore"):  # inf at extreme sigma_v_sq
+        return 0.5 * sigma_v_sq * predicted_trace(phi, 1.0)

@@ -26,7 +26,7 @@ STEP = PI / 36
 
 def _crossing_snr(records, target=1e-3):
     """SNR where the BER curve crosses `target` (log-linear interpolation)."""
-    pts = [(r.snr_db, r.estimate.ber) for r in records if r.estimate.ber > 0]
+    pts = [(r.snr_db, r.ber) for r in records if r.ber > 0]
     for (s1, b1), (s2, b2) in zip(pts, pts[1:]):
         if b1 > target >= b2:
             return s1 + (s2 - s1) * (math.log10(target) - math.log10(b1)) / (
@@ -44,11 +44,11 @@ def test_criterion_1_optimal_offset():
     records = run_phi_sweep(cfg)
     assert all(r.samples >= 10_000 for r in records)
     best = min(records, key=lambda r: r.sigma_ve_sq)
-    dist = min(abs(best.phi - PI / 2), abs(best.phi + PI / 2))
+    dist = min(abs(best.phi_rad - PI / 2), abs(best.phi_rad + PI / 2))
     ratio = best.sigma_ve_sq / sigma
-    print(f"CRITERION 1: argmin phi = {best.phi:.6f} rad ({dist / STEP:.2f} grid steps "
+    print(f"CRITERION 1: argmin phi = {best.phi_rad:.6f} rad ({dist / STEP:.2f} grid steps "
           f"from +-pi/2), min/sigma_v_sq = {ratio:.4f}")
-    assert dist <= STEP + 1e-9, f"minimum {best.phi} is {dist} rad from +-pi/2"
+    assert dist <= STEP + 1e-9, f"minimum {best.phi_rad} is {dist} rad from +-pi/2"
     assert abs(ratio - 1.0) <= 0.10, f"minimum {best.sigma_ve_sq} vs sigma_v_sq {sigma}"
 
 
@@ -60,9 +60,9 @@ def test_criterion_2_analytic_curve_match():
     )
     records = run_phi_sweep(cfg)
     deviations = {
-        r.phi: abs(r.sigma_ve_sq / predicted_mse(r.phi, sigma) - 1.0)
+        r.phi_rad: abs(r.sigma_ve_sq / predicted_mse(r.phi_rad, sigma) - 1.0)
         for r in records
-        if abs(math.sin(r.phi)) >= 0.3
+        if abs(math.sin(r.phi_rad)) >= 0.3
     }
     worst_phi = max(deviations, key=deviations.get)
     print(f"CRITERION 2: {len(deviations)} grid points with |sin phi| >= 0.3, "
@@ -170,11 +170,11 @@ def test_criterion_5_large_mimo_behavior():
     }
     mid_snr = 14.0
     ber_at_mid = {
-        rsr: next(r.estimate.ber for r in recs if r.snr_db == mid_snr)
+        rsr: next(r.ber for r in recs if r.snr_db == mid_snr)
         for rsr, recs in curves.items()
     }
     crossings = {rsr: _crossing_snr(recs) for rsr, recs in curves.items()
-                 if any(r.estimate.ber <= 1e-3 for r in recs)}
+                 if any(r.ber <= 1e-3 for r in recs)}
     best_rsr = min(crossings, key=crossings.get)
     cross_rf = _crossing_snr(rf)
     cross_oracle = _crossing_snr(oracle)
@@ -299,8 +299,8 @@ def test_criterion_7_determinism(tmp_path):
     serial = run_ber_sweep(base)
     eight = run_ber_sweep(replace(base, workers=8))
     counts_equal = all(
-        a.estimate.bit_errors == b.estimate.bit_errors
-        and a.estimate.bits_total == b.estimate.bits_total
+        a.bit_errors == b.bit_errors
+        and a.bits_total == b.bits_total
         for a, b in zip(serial, eight)
     )
     print(f"CRITERION 7: rerun CSV byte-identical = {identical}, "

@@ -23,16 +23,26 @@ def test_ber_csv_schema_and_reproducibility(tmp_path):
     assert header == "scheme,detector,snr_db,rsr_db,m,n,qam,bit_errors,bits_total,ber,ci95,seed"
 
 
-def test_manifest_rerun_byte_identical(tmp_path):
+@pytest.mark.parametrize("argv", [
+    BER_ARGS,
+    ["phi-sweep", "--m", "16", "--n", "2", "--samples", "64", "--seed", "3",
+     "--phi-grid", "1.5707963267948966,0,0.9"],
+    ["rsr-sweep", "--m", "16", "--n", "2", "--samples", "64", "--seed", "4",
+     "--rsr-db-list", "20,40", "--sigma-v-sq-list", "0.1,0.01"],
+    ["trace-curve", "--sigma-v-sq", "0.2", "--u-mod", "1.5", "--phi-grid", "0.4,0,2"],
+], ids=lambda argv: argv[0])
+def test_manifest_rerun_byte_identical(tmp_path, argv):
+    command = argv[0]
+    stem = command.replace("-", "_")
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(BER_ARGS + ["--out", str(out1)]) == 0
-    manifest = out1 / "ber.manifest.json"
+    assert main(argv + ["--out", str(out1)]) == 0
+    manifest = out1 / f"{stem}.manifest.json"
     data = json.loads(manifest.read_text())
-    assert data["command"] == "ber"
+    assert data["command"] == command
     assert data["config"]["seed"] == data["master_seed"]
-    assert str(out1 / "ber.csv") in data["outputs"]
-    assert main(["ber", "--config", str(manifest), "--out", str(out2)]) == 0
-    assert (out1 / "ber.csv").read_bytes() == (out2 / "ber.csv").read_bytes()
+    assert str(out1 / f"{stem}.csv") in data["outputs"]
+    assert main([command, "--config", str(manifest), "--out", str(out2)]) == 0
+    assert (out1 / f"{stem}.csv").read_bytes() == (out2 / f"{stem}.csv").read_bytes()
 
 
 def test_manifest_with_svg_key_still_replays(tmp_path):
@@ -178,6 +188,8 @@ BAD_CONFIGS = {
     "object_grid.json": (json.dumps({"config": {"phi_grid": {"a": 1}}}), "phi_grid = {'a': 1}"),
     "null_snr.json": (json.dumps({"config": {"snr_db_list": None}}), "snr_db_list = None"),
     "bool_rsr.json": (json.dumps({"config": {"rsr_db": True}}), "rsr_db = True"),
+    # a misspelt key of the command's own section would silently run on a default
+    "typo_key.ini": ("[ber]\ntrails = 5\nsnr-db-list = 10\nm = 4\nn = 2\n", "'trails'"),
 }
 # config paths that are directories, so they cannot be read
 BAD_CONFIG_DIRS = ("dir_config", "dir_config.json")
@@ -235,6 +247,11 @@ BAD_CONFIG_DIRS = ("dir_config", "dir_config.json")
     ["ber", "--config", "null_snr.json"],
     ["ber", "--config", "bool_rsr.json"],
     ["ber", "--detector", "zf", "--m", "4", "--n", "8", "--snr-db-list", "10", "--trials", "8"],
+    # finite arguments whose predicted trace or MSE overflows or underflows
+    ["trace-curve", "--u-mod", "1e200"],
+    ["trace-curve", "--u-mod", "1e-200"],
+    ["trace-curve", "--sigma-v-sq", "1e308"],
+    ["ber", "--config", "typo_key.ini"],
 ])
 def test_bad_input_refused_before_any_trial(tmp_path, argv, capsys):
     for name, (text, _) in BAD_CONFIGS.items():
@@ -282,6 +299,13 @@ def test_config_file_precedence(tmp_path):
     assert main(["ber", "--config", str(ini), "--trials", "100", "--out", str(out3)]) == 0
     rows = (out3 / "ber.csv").read_text().splitlines()
     assert rows[1].split(",")[8] == "400"  # 100 trials * 2 users * 2 bits
+
+
+def test_default_section_keys_may_serve_other_commands(tmp_path):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[DEFAULT]\nsamples = 64\n[ber]\nsnr-db-list = 10\nm = 4\nn = 2\n"
+                   "trials = 8\n")
+    assert main(["ber", "--config", str(ini), "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("argv,csv_name", [

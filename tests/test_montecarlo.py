@@ -24,7 +24,6 @@ from ramimo.detect import ml_linear_stacked, ml_single_shot_stacked, zf_linear
 from ramimo.frontend import observe_prss, observe_single
 from ramimo.montecarlo import (
     BATCH_TRIALS,
-    BerEstimate,
     ExperimentConfig,
     default_phi_grid,
     run_ber_sweep,
@@ -366,22 +365,32 @@ def test_ber_sweep_requires_points_and_trials():
         ExperimentConfig(snr_db_list=(10.0,), trials=0)
 
 
-def test_ber_sweep_counts_and_stopping():
+def test_ber_sweep_counts_and_stopping(monkeypatch):
+    spans = {}  # point seed -> the trial ranges that _ber_block ran for it
+    block = montecarlo._ber_block
+
+    def spy(cfg, lo, hi):
+        spans.setdefault(cfg.master_seed, []).append((lo, hi))
+        return block(cfg, lo, hi)
+
+    monkeypatch.setattr(montecarlo, "_ber_block", spy)
     cfg = ExperimentConfig(
         m=2, n=2, scheme="rf_baseline", detector="zf",
         snr_db_list=(0.0, 30.0), trials=1000, target_errors=50, master_seed=5,
     )
     records = run_ber_sweep(cfg)
     assert [r.snr_db for r in records] == [0.0, 30.0]
-    for rec in records:
-        est = rec.estimate
-        assert est.bits_total == rec.trials * 2 * 2
-        assert rec.trials % BATCH_TRIALS == 0 or rec.trials == cfg.trials
-        assert 0 <= est.ber <= 1
-        assert est.bit_errors <= est.bits_total
+    trials = [r.bits_total // (2 * 2) for r in records]  # 2 users, 2 bits per 4-QAM symbol
+    for rec, t in zip(records, trials):
+        ran = sorted(spans[rec.seed])  # trials 0..t-1, each run once
+        assert ran[0][0] == 0 and all(a[1] == b[0] for a, b in zip(ran, ran[1:]))
+        assert rec.bits_total == ran[-1][1] * 2 * 2
+        assert t % BATCH_TRIALS == 0 or t == cfg.trials
+        assert 0 <= rec.ber <= 1
+        assert rec.bit_errors <= rec.bits_total
     # noisy point stops early on the error target, clean point runs the cap
-    assert records[0].estimate.bit_errors >= 50
-    assert records[0].trials < records[1].trials
+    assert records[0].bit_errors >= 50
+    assert trials[0] < trials[1]
     # distinct sub-seeds per point
     assert records[0].seed != records[1].seed
 
@@ -639,7 +648,8 @@ def test_a_pool_started_mid_sweep_returns_serial_records(
         monkeypatch, sweep, cfg, block_seconds, blocks_alone):
     serial = sweep(cfg)
     if sweep is run_ber_sweep:
-        assert 3 * BATCH_TRIALS < serial[0].trials < cfg.trials  # stopped on target_errors
+        trials = serial[0].bits_total // (2 * 2)  # 2 users, 2 bits per 4-QAM symbol
+        assert 3 * BATCH_TRIALS < trials < cfg.trials  # stopped on target_errors
     monkeypatch.setattr(montecarlo, "perf_counter", clock := _Clock(*block_seconds))
     telemetry = {}
     assert sweep(replace(cfg, workers=3), telemetry) == serial
@@ -826,11 +836,14 @@ def test_energy_per_bit_equal_across_schemes():
     assert abs(prss_energy_per_bit - baseline_energy_per_bit) < 1e-12
 
 
-def test_confidence_width_scaling():
-    a = BerEstimate.from_counts(100, 10_000)
-    b = BerEstimate.from_counts(400, 40_000)
+def test_confidence_width_scaling(monkeypatch):
+    # ber and ci95 come from a point's (bit errors, bits), where its record is built
+    counts = iter([(100, 10_000), (400, 40_000)])
+    monkeypatch.setattr(montecarlo, "_ber_point", lambda cfg, run, later: next(counts))
+    a, b = run_ber_sweep(ExperimentConfig(
+        m=2, n=2, scheme="rf_baseline", detector="zf", snr_db_list=(5.0, 5.0)))
     assert a.ber == b.ber
-    assert abs(b.half_width_95 - a.half_width_95 / 2) < 1e-15
+    assert abs(b.ci95 - a.ci95 / 2) < 1e-15
 
 
 def test_snr_conversion():
@@ -855,7 +868,7 @@ def test_phi_sweep_minimum_near_quarter_turn():
     )
     records = run_phi_sweep(cfg)
     best = min(records, key=lambda r: r.sigma_ve_sq)
-    assert abs(best.phi - PI / 2) <= step + 1e-12
+    assert abs(best.phi_rad - PI / 2) <= step + 1e-12
     assert len({r.seed for r in records}) == len(records)
 
 
