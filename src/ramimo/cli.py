@@ -33,8 +33,9 @@ from .montecarlo import (
 )
 from .reconstruct import predicted_mse, predicted_trace
 
-# built-in defaults per command (the m=512/n=2 variance-study geometry keeps
-# the Taylor bias small while vectorizing the per-receiver statistics)
+# each command's options and their built-in defaults: every key is a flag and
+# a config key of its default's type (the m=512/n=2 variance-study geometry
+# keeps the Taylor bias small while vectorizing the per-receiver statistics)
 DEFAULTS = {
     "phi-sweep": {
         "m": 512, "n": 2, "rsr_db": 30.0, "sigma_v_sq": 0.1,
@@ -65,14 +66,23 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _checked_config(resolved: dict, **fields) -> ExperimentConfig:
-    """A trial command's config: m, n, qam, seed and threads from `resolved`,
-    the rest from `fields`; validation failures are usage errors."""
+# resolved keys whose ExperimentConfig field has another name
+_FIELDS = {"qam": "qam_order", "seed": "master_seed", "threads": "workers", "phi_grid": "phi_list"}
+
+
+def _checked_config(resolved: dict) -> ExperimentConfig:
+    """A trial command's config from every resolved key (the sweeps, which have
+    no `scheme` key, run ExperimentConfig's default, prss). Each `*_list` key's
+    number list must not be empty; validation failures are usage errors."""
+    kwargs = {}
+    for key, value in resolved.items():
+        if key.endswith("_list"):
+            value = _float_list(value)
+            if not value:
+                raise UsageError(f"--{key.replace('_', '-')} must not be empty")
+        kwargs[_FIELDS.get(key, key)] = value
     try:
-        return ExperimentConfig(
-            m=resolved["m"], n=resolved["n"], qam_order=resolved["qam"],
-            master_seed=resolved["seed"], workers=resolved["threads"], **fields,
-        )
+        return ExperimentConfig(**kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -92,6 +102,25 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise UsageError(f"cannot parse number list {text!r}") from exc
 
 
+# help text of each config key, shared by every command that reads it
+_HELP = {
+    "m": "number of receivers",
+    "n": "number of user antennas",
+    "qam": "QAM order (0 = scheme default)",
+    "rsr_db": "reference-to-signal ratio in dB",
+    "sigma_v_sq": "receiver noise variance",
+    "samples": "receiver samples per sweep point",
+    "phi_grid": "comma list of offsets in radians (default: pi/36 grid)",
+    "rsr_db_list": "comma list of RSR values in dB",
+    "sigma_v_sq_list": "comma list of noise variances",
+    "snr_db_list": "comma list of SNR points in dB",
+    "trials": "max trials per SNR point",
+    "target_errors": "bit-error stopping target (0 = run all)",
+    "phi": "dual-slot phase offset in radians",
+    "u_mod": "phase-normalizer modulus (default 1)",
+}
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: building it costs
@@ -103,8 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ramimo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, defaults in DEFAULTS.items():
+        p = sub.add_parser(command, help=_RUNNERS[command].__doc__)
         p.add_argument("--config", help="INI config or manifest JSON from a previous run")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--seed", type=int,
@@ -112,41 +141,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int,
                        help="processes that run trials; workers start only where they "
                             "pay for themselves (default: at most one per usable core)")
-
-    def trial(p):  # the commands that draw trials
-        common(p)
-        p.add_argument("--m", type=int, help="number of receivers")
-        p.add_argument("--n", type=int, help="number of user antennas")
-        p.add_argument("--qam", type=int, help="QAM order (0 = scheme default)")
-
-    p = sub.add_parser("phi-sweep", help="reconstruction error vs phase offset")
-    trial(p)
-    p.add_argument("--rsr-db", type=float, help="reference-to-signal ratio in dB")
-    p.add_argument("--sigma-v-sq", type=float, help="receiver noise variance")
-    p.add_argument("--samples", type=int, help="receiver samples per grid point")
-    p.add_argument("--phi-grid", help="comma list of offsets in radians (default: pi/36 grid)")
-
-    p = sub.add_parser("rsr-sweep", help="reconstruction error vs reference strength")
-    trial(p)
-    p.add_argument("--rsr-db-list", help="comma list of RSR values in dB")
-    p.add_argument("--sigma-v-sq-list", help="comma list of noise variances")
-    p.add_argument("--samples", type=int, help="receiver samples per sweep point")
-
-    p = sub.add_parser("ber", help="BER vs SNR for one scheme/detector")
-    trial(p)
-    p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--detector", choices=DETECTORS)
-    p.add_argument("--rsr-db", type=float, help="reference-to-signal ratio in dB")
-    p.add_argument("--snr-db-list", help="comma list of SNR points in dB")
-    p.add_argument("--trials", type=int, help="max trials per SNR point")
-    p.add_argument("--target-errors", type=int, help="bit-error stopping target (0 = run all)")
-    p.add_argument("--phi", type=float, help="dual-slot phase offset in radians")
-
-    p = sub.add_parser("trace-curve", help="analytic error-amplification curves")
-    common(p)
-    p.add_argument("--sigma-v-sq", type=float, help="noise variance for the MSE curve")
-    p.add_argument("--u-mod", type=float, help="phase-normalizer modulus (default 1)")
-    p.add_argument("--phi-grid", help="comma list of offsets in radians")
+        for key, default in defaults.items():
+            p.add_argument(f"--{key.replace('_', '-')}", type=type(default), help=_HELP.get(key),
+                           choices={"scheme": SCHEMES, "detector": DETECTORS}.get(key))
     return parser
 
 
@@ -168,10 +165,10 @@ def _load_config_layer(path: str, command: str, keys) -> dict:
             raise UsageError(f"{path}: not a JSON manifest or config object")
         if manifest.get("command") not in (None, command):
             raise UsageError(
-                f"manifest was written by {manifest.get('command')!r}, not {command!r}"
+                f"{path}: manifest was written by {manifest.get('command')!r}, not {command!r}"
             )
         return dict(manifest.get("config", manifest))
-    ini = configparser.ConfigParser()
+    ini = configparser.ConfigParser(interpolation=None)  # a value is read verbatim
     with _open_config(path) as fh:
         try:
             ini.read_file(fh)
@@ -273,39 +270,24 @@ def _phi_grid_from(resolved: dict) -> tuple[tuple[float, ...], list[str]]:
 
 
 def _cmd_phi_sweep(resolved: dict, telemetry: dict) -> tuple[list[str], list, list[str]]:
+    """reconstruction error vs phase offset"""
     usable, comments = _phi_grid_from(resolved)
-    cfg = _checked_config(
-        resolved, scheme="prss", rsr_db=resolved["rsr_db"],
-        sigma_v_sq=resolved["sigma_v_sq"], phi_list=usable, samples=resolved["samples"],
-    )
+    cfg = _checked_config({**resolved, "phi_grid": usable})
     return *_table(run_phi_sweep(cfg, telemetry)), comments
 
 
 def _cmd_rsr_sweep(resolved: dict, telemetry: dict) -> tuple[list[str], list, list[str]]:
-    rsr_list = _float_list(resolved["rsr_db_list"])
-    sv_list = _float_list(resolved["sigma_v_sq_list"])
-    if not rsr_list or not sv_list:
-        raise UsageError("rsr-db-list and sigma-v-sq-list must not be empty")
-    cfg = _checked_config(
-        resolved, scheme="prss", rsr_db_list=rsr_list, sigma_v_sq_list=sv_list,
-        samples=resolved["samples"],
-    )
-    return *_table(run_rsr_sweep(cfg, telemetry)), []
+    """reconstruction error vs reference strength"""
+    return *_table(run_rsr_sweep(_checked_config(resolved), telemetry)), []
 
 
 def _cmd_ber(resolved: dict, telemetry: dict) -> tuple[list[str], list, list[str]]:
-    snr_list = _float_list(resolved["snr_db_list"])
-    if not snr_list:
-        raise UsageError("snr-db-list must not be empty")
-    cfg = _checked_config(
-        resolved, scheme=resolved["scheme"], detector=resolved["detector"],
-        rsr_db=resolved["rsr_db"], phi=resolved["phi"], snr_db_list=snr_list,
-        trials=resolved["trials"], target_errors=resolved["target_errors"],
-    )
-    return *_table(run_ber_sweep(cfg, telemetry)), []
+    """BER vs SNR for one scheme/detector"""
+    return *_table(run_ber_sweep(_checked_config(resolved), telemetry)), []
 
 
 def _cmd_trace_curve(resolved: dict, telemetry: dict) -> tuple[list[str], list, list[str]]:
+    """analytic error-amplification curves"""
     u_mod = resolved["u_mod"]
     sv = resolved["sigma_v_sq"]
     if not (math.isfinite(u_mod) and u_mod > 0):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ramimo import montecarlo
-from ramimo.cli import main
+from ramimo.cli import DEFAULTS, _build_parser, main
 
 BER_ARGS = [
     "ber", "--scheme", "rf_baseline", "--detector", "zf", "--m", "4", "--n", "2",
@@ -190,6 +190,9 @@ BAD_CONFIGS = {
     "bool_rsr.json": (json.dumps({"config": {"rsr_db": True}}), "rsr_db = True"),
     # a misspelt key of the command's own section would silently run on a default
     "typo_key.ini": ("[ber]\ntrails = 5\nsnr-db-list = 10\nm = 4\nn = 2\n", "'trails'"),
+    # an INI value is read verbatim: a % is no interpolation, just a bad number
+    "percent_m.ini": ("[ber]\nm = %(x)s\n", "m = '%(x)s'"),
+    "other_command.json": (json.dumps({"command": "phi-sweep", "config": {}}), "'phi-sweep'"),
 }
 # config paths that are directories, so they cannot be read
 BAD_CONFIG_DIRS = ("dir_config", "dir_config.json")
@@ -252,6 +255,10 @@ BAD_CONFIG_DIRS = ("dir_config", "dir_config.json")
     ["trace-curve", "--u-mod", "1e-200"],
     ["trace-curve", "--sigma-v-sq", "1e308"],
     ["ber", "--config", "typo_key.ini"],
+    ["ber", "--config", "percent_m.ini"],
+    ["ber", "--config", "other_command.json"],
+    ["ber", "--snr-db-list", "4", "--target-errors", "-1"],
+    ["phi-sweep", "--samples", "0"],
 ])
 def test_bad_input_refused_before_any_trial(tmp_path, argv, capsys):
     for name, (text, _) in BAD_CONFIGS.items():
@@ -274,6 +281,15 @@ def test_bad_input_refused_before_any_trial(tmp_path, argv, capsys):
     for name in BAD_CONFIG_DIRS:
         if str(tmp_path / name) in argv:
             assert f"cannot read config file {tmp_path / name}" in err
+
+
+def test_a_percent_in_an_ini_list_is_a_bad_number(tmp_path, capsys):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[ber]\nsnr-db-list = 10%\nm = 4\nn = 2\n")
+    out = tmp_path / "o"
+    assert main(["ber", "--config", str(ini), "--out", str(out)]) == 2
+    assert not list(out.glob("*.csv"))
+    assert "cannot parse number list '10%'" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2():
@@ -306,6 +322,54 @@ def test_default_section_keys_may_serve_other_commands(tmp_path):
     ini.write_text("[DEFAULT]\nsamples = 64\n[ber]\nsnr-db-list = 10\nm = 4\nn = 2\n"
                    "trials = 8\n")
     assert main(["ber", "--config", str(ini), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_ini_without_the_commands_section_falls_back_to_default(tmp_path):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[DEFAULT]\nm = 4\nn = 2\ntrials = 8\nsnr-db-list = 10\n"
+                   "[phi-sweep]\nsamples = 64\n")
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["ber", "--config", str(ini), "--out", str(out1)]) == 0
+    assert main(["ber", "--m", "4", "--n", "2", "--trials", "8", "--snr-db-list", "10",
+                 "--out", str(out2)]) == 0
+    assert (out1 / "ber.csv").read_bytes() == (out2 / "ber.csv").read_bytes()
+
+
+# a value other than the default for every config key of every command, at small sizes
+EVERY_KEY = {
+    "phi-sweep": {"m": "16", "n": "3", "rsr_db": "25", "sigma_v_sq": "0.05", "samples": "64",
+                  "phi_grid": "1.2,0,-1.5", "qam": "4"},
+    "rsr-sweep": {"m": "16", "n": "3", "rsr_db_list": "20,35", "sigma_v_sq_list": "0.05,0.001",
+                  "samples": "64", "qam": "16"},
+    "ber": {"m": "4", "n": "2", "scheme": "rf_baseline", "detector": "zf", "qam": "16",
+            "rsr_db": "24", "snr_db_list": "6,12", "trials": "64", "target_errors": "10",
+            "phi": "1.2"},
+    "trace-curve": {"sigma_v_sq": "0.3", "u_mod": "0.8", "phi_grid": "0.5,0,1.5"},
+}
+
+
+@pytest.mark.parametrize("command", list(DEFAULTS))
+def test_flags_and_config_keys_are_one_set(tmp_path, command):
+    sub = next(a for a in _build_parser()._actions if isinstance(a.choices, dict)).choices[command]
+    assert {a.dest for a in sub._actions} == {*DEFAULTS[command], "config", "out", "seed",
+                                             "threads", "help"}
+    assert set(EVERY_KEY[command]) == set(DEFAULTS[command])
+    values = {**EVERY_KEY[command], "seed": "7", "threads": "1"}
+    flags = [f for key, value in values.items() for f in (f"--{key.replace('_', '-')}", value)]
+    # an INI key may be written with dashes or with underscores
+    keys = [key.replace("_", "-") if i % 2 else key for i, key in enumerate(values)]
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[{command}]\n"
+                   + "".join(f"{k} = {v}\n" for k, v in zip(keys, values.values())))
+    stem = command.replace("-", "_")
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main([command, *flags, "--out", str(out1)]) == 0
+    assert main([command, "--config", str(ini), "--out", str(out2)]) == 0
+    assert (out1 / f"{stem}.csv").read_bytes() == (out2 / f"{stem}.csv").read_bytes()
+    config = json.loads((out2 / f"{stem}.manifest.json").read_text())["config"]
+    kinds = {**{key: type(d) for key, d in DEFAULTS[command].items()}, "seed": int, "threads": int}
+    assert config == {key: kinds[key](value) for key, value in values.items()}
+    assert all(config[key] != default for key, default in DEFAULTS[command].items())
 
 
 @pytest.mark.parametrize("argv,csv_name", [
