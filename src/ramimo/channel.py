@@ -109,9 +109,18 @@ _ZEROS = (0, 0, 0, 0)
 
 
 @lru_cache(maxsize=1)
-def _keyed_generator() -> np.random.Generator:
-    # made on first use, so importing ramimo does not load numpy.random
-    return np.random.Generator(np.random.Philox(0))
+def _keyed_generator() -> tuple[np.random.Generator, dict]:
+    """This process's keyed generator and the state dict that restarts it,
+    made on first use, so importing ramimo does not load numpy.random."""
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": None},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,  # empty: the next draw starts a fresh block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(np.random.Philox(0)), state
 
 
 def keyed_rng(key) -> np.random.Generator:
@@ -120,17 +129,12 @@ def keyed_rng(key) -> np.random.Generator:
     given as its `tolist()`, whose Python ints the state setter reads faster.
 
     Every call restarts the same generator, so draw from one stream fully
-    before asking for the next.
+    before asking for the next. The setter copies the state it is given, so
+    one dict serves every restart, and only its key changes.
     """
-    rng = _keyed_generator()
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": key},
-        "buffer": _ZEROS,
-        "buffer_pos": 4,  # empty: the next draw starts a fresh block
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    rng, state = _keyed_generator()
+    state["state"]["key"] = key
+    rng.bit_generator.state = state
     return rng
 
 

@@ -1,15 +1,23 @@
 """Seeded Monte Carlo engine for the noise-variance and BER experiments.
 
 Determinism contract: every trial's random streams are derived only from
-(master_seed, trial_index), trials are scheduled in fixed-size batches, and
-per-point results are reduced in trial order, so error and bit counts are
-identical for any worker count, whichever process ran which trial.  Sweep
-points get independent sub-seeds, except the reference-strength sweep, which
-evaluates every strength on the same draws so the recovery error can be
-compared pathwise across points.
+(master_seed, trial_index), a BER point reads its stopping rule only at
+fixed batch boundaries, and per-point results are reduced in trial order, so
+error and bit counts are identical for any worker count, whichever process
+ran which trial.  Sweep points get independent sub-seeds, except the
+reference-strength sweep, which evaluates every strength on the same draws
+so the recovery error can be compared pathwise across points.
+
+A sweep runs its points side by side, in rounds: each round lays one span
+of trials per running point end to end in one range (`_Span`), and its
+processes claim chunks of that range, which may cross from one point into
+the next. A BER round holds each running point's next batch when the sweep
+has an error target, and all of its trials when it has none; a phase sweep
+is one round of every offset.
 
 Each block of trials that a process claims derives its own stream keys
-(`trial_keys`) and draws a trial's streams from one restarted generator
+(`trial_keys`, from each point's sub-seed, a BER block one stacked chunk at
+a time) and draws a trial's streams from one restarted generator
 (`keyed_rng`), each into its row of a chunk buffer per role. Every other
 step runs stacked, a chunk of trials per numpy call: the draws' elementwise
 steps; the frontend, reconstruction and squared error of a variance chunk,
@@ -66,8 +74,9 @@ QAM_ORDERS = (0, 4, 16, 64)  # 0 = scheme default
 
 PI_HALF = math.pi / 2
 
-# trials per scheduling batch; the stopping rule is evaluated only at batch
-# boundaries, which keeps counts independent of the worker count
+# trials per BER point per round of a sweep with an error target; the
+# stopping rule is read only at these batch boundaries, which keeps counts
+# independent of the worker count
 BATCH_TRIALS = 256
 
 # the streams a scheme's trial reads, in key-table order; streams are keyed
@@ -330,36 +339,40 @@ class _Shared:
             noise_scale(sigma_v_sq) * w for w in (draws.w1, draws.w2)))
 
 
-def _recover(shared: _Shared, rsr_db: float, sigma_v_sq: float, phi: float):
-    """Stacked s_hat of a chunk's prss trials at one reference strength,
-    noise variance and offset: `observe_prss`, then `reconstruct_general`,
-    on the terms in shared. Bit for bit what each trial gives on its own."""
+def _recover(shared: _Shared, rsr_db: float, noise, phi: float):
+    """Stacked s_hat of a chunk's prss trials at one reference strength and
+    offset, with noise the scaled (v1, v2): `observe_prss`, then
+    `reconstruct_general`, on the terms in shared. Bit for bit what each
+    trial gives on its own."""
     ref = shared.reference(rsr_db)
-    v1, v2 = shared.noise(sigma_v_sq)
+    v1, v2 = noise
     z = readout(shared.s, ref.r, v1), readout(shared.rotated(phi), ref.r, v2)
     return reconstruct_general(z, ref, phi)
 
 
-def _ber_chunk(cfg: ExperimentConfig, keys: np.ndarray):
+def _ber_chunk(cfg: ExperimentConfig, keys: np.ndarray, sigma_v_sq):
     """Detection trials whose key-table rows (roles _ROLES[cfg.scheme]) are
     keys, stacked: returns (observed, x_hat, errors), each on axis 0 per trial.
 
-    observed is what the detector reads: s_hat (rf_baseline's Hx + v1, or
-    prss's reconstruction), or single_shot's readout z. errors counts each
-    trial's wrong bits.
+    sigma_v_sq is each trial's noise variance, as a column (one per row), or
+    one for every row: either way a row's noise is the same elementwise
+    product. observed is what the detector reads: s_hat (rf_baseline's
+    Hx + v1, or prss's reconstruction), or single_shot's readout z. errors
+    counts each trial's wrong bits.
     """
     c = _alphabet(cfg.order)
     draws = _draws(cfg, keys, _ROLES[cfg.scheme])
+    scale = noise_scale(sigma_v_sq)
     if cfg.scheme == "single_shot":
         r = reference_magnitude(cfg.n, cfg.rsr_db) * draws.e
-        v1 = noise_scale(cfg.sigma_v_sq) * draws.w1
-        observed = observe_single(draws.H, draws.x, r, v1)
+        observed = observe_single(draws.H, draws.x, r, scale * draws.w1)
         x_hat = ml_single_shot_stacked(observed, draws.H, r, c)
     else:
         if cfg.scheme == "rf_baseline":  # complex observation, no magnitude readout
-            observed = received(draws.H, draws.x) + noise_scale(cfg.sigma_v_sq) * draws.w1
+            observed = received(draws.H, draws.x) + scale * draws.w1
         else:
-            observed = _recover(_Shared(draws, cfg.n), cfg.rsr_db, cfg.sigma_v_sq, cfg.phi)
+            noise = scale * draws.w1, scale * draws.w2
+            observed = _recover(_Shared(draws, cfg.n), cfg.rsr_db, noise, cfg.phi)
         detector = ml_linear_stacked if cfg.detector == "ml" else zf_linear
         x_hat = detector(observed, draws.H, c)
     wrong = demap(x_hat.ravel(), c).reshape(draws.bits.shape) != draws.bits
@@ -375,7 +388,7 @@ def run_variance_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[np.ndar
     """One reconstruction trial: returns (s_hat, s) with s = Hx kept as ground truth."""
     keys = trial_keys(cfg.master_seed, trial_index, trial_index + 1, _ROLES["prss"])
     shared = _Shared(_draws(cfg, keys, _ROLES["prss"]), cfg.n)
-    s_hat = _recover(shared, cfg.rsr_db, cfg.sigma_v_sq, cfg.phi)
+    s_hat = _recover(shared, cfg.rsr_db, shared.noise(cfg.sigma_v_sq), cfg.phi)
     return s_hat[0], shared.s[0]
 
 
@@ -389,25 +402,81 @@ def _variance_step(cfg: ExperimentConfig) -> int:
     return max(1, _VARIANCE_ROWS // cfg.m)
 
 
+class _Span(NamedTuple):
+    """Trials start..stop-1 of one sweep point, whose config cfg carries its
+    sub-seed (and a BER point's noise variance): one piece of a round, whose
+    range lays its spans end to end. points are a variance span's
+    (rsr_db, sigma_v_sq, phi) triples, which all read its draws."""
+
+    cfg: ExperimentConfig
+    start: int
+    stop: int
+    points: tuple = ()
+
+
+def _pieces(spans, lo: int, hi: int):
+    """(span index, first trial, stop) of each span's part of trials lo..hi-1
+    of the round's range."""
+    at = 0
+    for i, span in enumerate(spans):
+        end = at + span.stop - span.start
+        if lo < end and at < hi:
+            yield i, span.start + max(lo, at) - at, span.start + min(hi, end) - at
+        at = end
+
+
+def _ber_spans(spans, lo: int, hi: int) -> list[int]:
+    """Bit errors of each span of a BER round among the round's trials
+    lo..hi-1; the spans share every setting but seed and noise variance.
+
+    The trials run in stacked chunks of _ber_step trials, which may cross
+    from one span into the next: each span's rows are keyed from its own
+    sub-seed, a chunk at a time, and carry its own noise variance.
+    """
+    cfg = spans[0].cfg
+    step, roles = _ber_step(cfg), _ROLES[cfg.scheme]
+    errors = [0] * len(spans)
+    for a in range(lo, hi, step):
+        pieces = list(_pieces(spans, a, min(a + step, hi)))
+        keys = np.concatenate([trial_keys(spans[i].cfg.master_seed, x, y, roles)
+                               for i, x, y in pieces])
+        sizes = [y - x for _, x, y in pieces]
+        sigma_v_sq = np.repeat([spans[i].cfg.sigma_v_sq for i, _, _ in pieces], sizes)
+        wrong = _ber_chunk(cfg, keys, sigma_v_sq[:, None])[2]
+        for (i, _, _), part in zip(pieces, np.split(wrong, np.cumsum(sizes[:-1]))):
+            errors[i] += int(part.sum())
+    return errors
+
+
 def _ber_block(cfg: ExperimentConfig, lo: int, hi: int) -> tuple[int, int]:
-    """(bit errors, bits) of trials lo..hi-1, in stacked chunks of _ber_step trials."""
-    keys = trial_keys(cfg.master_seed, lo, hi, _ROLES[cfg.scheme])
-    step = _ber_step(cfg)
-    errors = sum(int(_ber_chunk(cfg, keys[a:a + step])[2].sum()) for a in range(0, hi - lo, step))
+    """(bit errors, bits) of trials lo..hi-1 of the point cfg."""
+    [errors] = _ber_spans((_Span(cfg, lo, hi),), 0, hi - lo)
     return errors, (hi - lo) * cfg.n * _alphabet(cfg.order).bits_per_symbol
+
+
+def _variance_spans(spans, lo: int, hi: int) -> list[tuple[int, np.ndarray]]:
+    """(span index, ||s_hat - s||^2 at each of its points) of each span's
+    part of a variance round's trials lo..hi-1, an array of shape (points,
+    trials). Each span runs in stacked chunks of _variance_step trials that
+    stop at its end, since a chunk's points share its draws."""
+    step = _variance_step(spans[0].cfg)
+    out = []
+    for i, x, y in _pieces(spans, lo, hi):
+        cfg, points = spans[i].cfg, spans[i].points
+        keys = trial_keys(cfg.master_seed, x, y, _ROLES["prss"])
+        out.append((i, np.concatenate([_variance_chunk(cfg, keys[a:a + step], points)
+                                       for a in range(0, y - x, step)], axis=1)))
+    return out
 
 
 def _variance_block(job, lo: int, hi: int) -> np.ndarray:
     """||s_hat - s||^2 of trials lo..hi-1 at each point: shape (points, hi - lo).
 
     job is (cfg, points), each point an (rsr_db, sigma_v_sq, phi) triple.
-    Trials run in stacked chunks of _variance_step trials.
     """
     cfg, points = job
-    keys = trial_keys(cfg.master_seed, lo, hi, _ROLES["prss"])
-    step = _variance_step(cfg)
-    return np.concatenate([_variance_chunk(cfg, keys[a:a + step], points)
-                           for a in range(0, hi - lo, step)], axis=1)
+    [(_, rows)] = _variance_spans((_Span(cfg, lo, hi, tuple(points)),), 0, hi - lo)
+    return rows
 
 
 def _variance_chunk(cfg: ExperimentConfig, keys: np.ndarray, points) -> np.ndarray:
@@ -416,40 +485,58 @@ def _variance_chunk(cfg: ExperimentConfig, keys: np.ndarray, points) -> np.ndarr
     computed once: shape (points, trials)."""
     shared = _Shared(_draws(cfg, keys, _ROLES["prss"]), cfg.n)
     return np.array([
-        np.sum(np.abs(_recover(shared, *point) - shared.s) ** 2, axis=-1)
-        for point in points
+        np.sum(np.abs(_recover(shared, rsr_db, shared.noise(sigma_v_sq), phi) - shared.s) ** 2,
+               axis=-1)
+        for rsr_db, sigma_v_sq, phi in points
     ])
 
 
-def _ber_point(cfg: ExperimentConfig, run: _Runner, later: int) -> tuple[int, int]:
-    """(bit errors, bits) of trials accumulated in batches until target_errors
-    or the trial cap is hit; later is the number of trials the sweep's later
-    points may run."""
-    errors = 0
-    bits = 0
-    done = 0
-    while done < cfg.trials:
-        batch_stop = min(done + BATCH_TRIALS, cfg.trials)
-        after_batch = cfg.trials - batch_stop + later
-        for e, b in run.map(_ber_block, cfg, done, batch_stop, after_batch, _ber_step(cfg)):
-            errors += e
-            bits += b
-        done = batch_stop
-        if cfg.target_errors and errors >= cfg.target_errors:
-            break
-    return errors, bits
+def _run_round(run: _Runner, block, spans, later: int, step: int) -> list:
+    """run.map of block over a round's spans laid end to end, in trial
+    order; later counts the trials the sweep may still run after it."""
+    return run.map(block, spans, 0, sum(span.stop - span.start for span in spans), later, step)
 
 
-def _variance_points(cfg: ExperimentConfig, points, run: _Runner,
-                     later: int) -> list[tuple[float, int]]:
-    """Mean ||s_hat - s||^2 per receiver at each (rsr_db, sigma_v_sq, phi)
-    point, all on the same >= cfg.samples receiver samples; and that count.
-    later is the number of trials the sweep may run after these."""
-    trials = _variance_trials(cfg)
-    chunks = run.map(_variance_block, (cfg, points), 0, trials, later, _variance_step(cfg))
-    per_trial = np.concatenate(chunks, axis=1)
+def _ber_rounds(points, run: _Runner) -> list[tuple[int, int]]:
+    """(bit errors, bits) of each point (a config with its sub-seed and
+    noise variance), the points run side by side in rounds.
+
+    A round holds one span per running point: its next BATCH_TRIALS trials
+    when the sweep has an error target, else all its trials. After each
+    round every point reads its stopping rule, at the batch boundary where
+    it would alone, so no count depends on the other points.
+    """
+    cfg = points[0]
+    batch = BATCH_TRIALS if cfg.target_errors else cfg.trials
+    errors = [0] * len(points)
+    done = [0] * len(points)
+    running = list(range(len(points)))
+    while running:
+        spans = [_Span(points[i], done[i], min(done[i] + batch, cfg.trials)) for i in running]
+        later = sum(cfg.trials - span.stop for span in spans)
+        for counts in _run_round(run, _ber_spans, spans, later, _ber_step(cfg)):
+            for i, count in zip(running, counts):
+                errors[i] += count
+        for i, span in zip(running, spans):
+            done[i] = span.stop
+        running = [i for i in running if done[i] < cfg.trials
+                   and not (cfg.target_errors and errors[i] >= cfg.target_errors)]
+    bits = cfg.n * _alphabet(cfg.order).bits_per_symbol
+    return [(e, trials * bits) for e, trials in zip(errors, done)]
+
+
+def _variance_points(spans, run: _Runner) -> list[list[tuple[float, int]]]:
+    """Mean ||s_hat - s||^2 per receiver at each point of each span, all of
+    a span's points on its cfg.samples or more receiver samples, and that
+    count; the spans run as one round, each over its point's trials."""
+    rows = [[] for _ in spans]
+    for pieces in _run_round(run, _variance_spans, spans, 0, _variance_step(spans[0].cfg)):
+        for i, part in pieces:
+            rows[i].append(part)
     # one ordered reduction per point keeps the result identical for any worker count
-    return [(float(np.sum(row) / (trials * cfg.m)), trials * cfg.m) for row in per_trial]
+    samples = [_variance_trials(span.cfg) * span.cfg.m for span in spans]
+    return [[(float(np.sum(row) / count), count) for row in np.concatenate(parts, axis=1)]
+            for count, parts in zip(samples, rows)]
 
 
 class _BlasThreads(NamedTuple):
@@ -517,27 +604,27 @@ def _set_blas_threads(count: int) -> int | None:
     return former
 
 
-# chunks per process in a parallel batch: each chunk pays a fixed cost of
+# chunks per process in a parallel range: each chunk pays a fixed cost of
 # draws and detector set-up whatever its size, so fewer chunks run faster on
-# short batches, while more let a faster process take over a slower one's
+# short ranges, while more let a faster process take over a slower one's
 # share (README, "Parallel runs", has the measurements behind 2)
 _CHUNKS_PER_PROCESS = 2
 
 
-def _chunk(start: int, stop: int, width: int) -> int:
-    """Trials per chunk of the batch start..stop-1 on width processes."""
-    return math.ceil((stop - start) / (_CHUNKS_PER_PROCESS * width))
+def _chunk(start: int, stop: int, width: int, step: int) -> int:
+    """Trials per chunk of the range start..stop-1 on width processes, whose
+    block stacks step trials at a time: at most max(step, BATCH_TRIALS), so
+    a long range keeps a batch's chunks (memory, Ctrl-C latency and load
+    balance as for one batch)."""
+    size = math.ceil((stop - start) / (_CHUNKS_PER_PROCESS * width))
+    return min(size, max(step, BATCH_TRIALS))
 
 
-def _take(counter, block, arg, start: int, stop: int, width: int) -> dict:
-    """Claim chunks of the batch start..stop-1 from the shared counter until
-    it reaches stop; return {lo: block(arg, lo, hi)} for the chunks lo..hi-1
-    this process claimed.
-
-    Every chunk holds _chunk(start, stop, width) trials, except the batch's
-    remainder.
+def _take(counter, block, arg, start: int, stop: int, size: int) -> dict:
+    """Claim chunks of size trials (the last one the remainder) of the range
+    start..stop-1 from the shared counter until it reaches stop; return
+    {lo: block(arg, lo, hi)} for the chunks lo..hi-1 this process claimed.
     """
-    size = _chunk(start, stop, width)
     done = {}
     while True:
         with counter.get_lock():
@@ -552,8 +639,8 @@ def _take(counter, block, arg, start: int, stop: int, width: int) -> dict:
 _HOLD_SIGINT = hasattr(signal, "pthread_sigmask")
 
 
-def _serve(conn, counter, width: int) -> None:
-    """Worker loop: for each (block, arg, start, stop) that arrives on conn,
+def _serve(conn, counter) -> None:
+    """Worker loop: for each (block, arg, start, stop, size) that arrives on conn,
     claim chunks with _take and send back their results, or the exception
     that stopped it, until None arrives. A worker whose caller has died, or
     that Ctrl-C reaches after it started, exits without a word."""
@@ -569,7 +656,7 @@ def _serve(conn, counter, width: int) -> None:
             if job is None:
                 return
             try:
-                reply = _take(counter, *job, width)
+                reply = _take(counter, *job)
             except BaseException as exc:  # raised again in the calling process
                 reply = exc
             conn.send(reply)
@@ -600,27 +687,31 @@ _POOL_COST_S = 0.008
 
 
 class _Runner:
-    """Runs one sweep's batches, for the span of a `with`: on the caller
-    alone until forking W - 1 workers pays for itself, then on every process
-    for the rest of the sweep.
+    """Runs one sweep's ranges of trials (its rounds), for the span of a
+    `with`: on the caller alone until forking W - 1 workers pays for
+    itself, then on every process for the rest of the sweep.
 
     Ski rental (Karlin, Manasse, Rudolph and Sleator, 1988): before each
-    batch the workers start if the time they would save, (the caller's
-    measured seconds per trial) x (trials the sweep may still run) x
-    (W - 1) / W, covers their cost, (W - 1) x _POOL_COST_S, so with
-    _POOL_COST_S = 0 they start before the first trial. With nothing
-    measured yet the caller first times the ceil(B / 2W) trials it would
-    have claimed anyway, or one stacked chunk of them (step trials) if that
-    is fewer, so a heavy trial costs no long wait alone; a batch it keeps
-    runs as one block. Only time and trial caps are read, and no trial
-    depends on who runs it, so no result moves. telemetry gets
-    "workers_started": W - 1 once the workers start, else 0.
+    block of trials the caller runs alone, the workers start if the time
+    they would save, (the caller's measured seconds per trial) x (trials
+    the sweep may still run) x (W - 1) / W, covers their cost, (W - 1) x
+    _POOL_COST_S, so with _POOL_COST_S = 0 they start before the first
+    trial. With nothing measured yet the caller first times the
+    ceil(B / 2W) trials it would have claimed of a B-trial batch
+    (BATCH_TRIALS, or the range if shorter), or one stacked chunk of them
+    (step trials) if that is fewer, so a heavy trial or a long range costs
+    no long wait alone; after that, each block it runs alone is one stacked
+    chunk, which may cross from one point of a round into the next. A
+    serial run (W = 1) runs each range as one block. Only time and trial
+    caps are read, and no trial depends on who runs it, so no result moves.
+    telemetry gets "workers_started": W - 1 once the workers start, else 0.
 
-    Once the workers start, each process claims the next chunk of a batch
+    Once the workers start, each process claims the next chunk of a range
     from a shared counter when it is free, so a slower one (a worker warming
     up, or one on a busy core) takes fewer trials instead of holding the
-    others up. Results are keyed by the chunk's first trial and returned in
-    trial order, whichever process ran them.
+    others up. The processes meet only at the range's end, where a BER
+    sweep reads its stopping rules. Results are keyed by the chunk's first
+    trial and returned in trial order, whichever process ran them.
 
     Every process of a run with W > 1 runs OpenBLAS on one thread, the
     caller from the start, so the manifest says true whether or not the
@@ -669,8 +760,7 @@ class _Runner:
         try:
             for _ in range(self.width - 1):
                 conn, theirs = ctx.Pipe()
-                proc = ctx.Process(target=_serve, args=(theirs, self.counter, self.width),
-                                   daemon=True)
+                proc = ctx.Process(target=_serve, args=(theirs, self.counter), daemon=True)
                 proc.start()
                 theirs.close()
                 self.conns.append(conn)
@@ -686,17 +776,20 @@ class _Runner:
         return per_trial * left * workers / self.width >= workers * _POOL_COST_S
 
     def map(self, block, arg, start: int, stop: int, later: int, step: int) -> list:
-        """block(arg, lo, hi) over chunks lo..hi-1 that cover the batch
+        """block(arg, lo, hi) over chunks lo..hi-1 that cover the range
         start..stop-1, in trial order; later counts the trials the sweep may
-        run after this batch, and block stacks step trials at a time."""
+        run after this range, and block stacks step trials at a time."""
         done = []
         while start < stop and not self.procs:
             if self.width > 1 and self._pays(stop - start + later):
                 self._start()
                 continue
             hi = stop
-            if self.width > 1 and not self.trials:  # a first chunk to time
-                hi = start + min(_chunk(start, stop, self.width), step)
+            if self.width > 1:  # one stacked chunk, then the rule again
+                hi = min(stop, start + step)
+                if not self.trials:  # a first chunk to time: one batch's chunk at most
+                    batch = min(stop, start + BATCH_TRIALS)
+                    hi = min(hi, start + _chunk(start, batch, self.width, step))
             began = perf_counter()
             done.append(block(arg, start, hi))
             self.seconds += perf_counter() - began
@@ -705,16 +798,17 @@ class _Runner:
         if start >= stop:
             return done
         self.counter.value = start
+        job = block, arg, start, stop, _chunk(start, stop, self.width, step)
         for conn in self.conns:
-            conn.send((block, arg, start, stop))
+            conn.send(job)
         try:
-            claimed = _take(self.counter, block, arg, start, stop, self.width)
+            claimed = _take(self.counter, *job)
         except BaseException:
             # an interrupt or a failed chunk: the workers stop after the chunks they hold
             with self.counter.get_lock():
                 self.counter.value = stop
             raise
-        finally:  # every pipe drained, so the next batch reads only its own replies
+        finally:  # every pipe drained, so the next range reads only its own replies
             replies = [_reply(conn, proc) for conn, proc in zip(self.conns, self.procs)]
         for reply in replies:
             if isinstance(reply, BaseException):
@@ -755,32 +849,32 @@ def run_ber_sweep(cfg: ExperimentConfig, telemetry: dict | None = None) -> list[
     """
     if not cfg.snr_db_list:
         raise ValueError("snr_db_list must not be empty")
-    records = []
+    points = [
+        replace(cfg, sigma_v_sq=snr_db_to_sigma_v_sq(snr_db),
+                master_seed=derive_point_seed(cfg.master_seed, i))
+        for i, snr_db in enumerate(cfg.snr_db_list)
+    ]
     with _Runner(cfg.workers, telemetry) as run:
-        for i, snr_db in enumerate(cfg.snr_db_list):
-            seed = derive_point_seed(cfg.master_seed, i)
-            point = replace(
-                cfg, sigma_v_sq=snr_db_to_sigma_v_sq(snr_db), master_seed=seed
+        counts = _ber_rounds(points, run)
+    records = []
+    for snr_db, point, (errors, bits) in zip(cfg.snr_db_list, points, counts):
+        ber = errors / bits
+        records.append(
+            BerSweepRecord(
+                scheme=cfg.scheme,
+                detector=cfg.detector,
+                snr_db=snr_db,
+                rsr_db=cfg.rsr_db,
+                m=cfg.m,
+                n=cfg.n,
+                qam=cfg.order,
+                bit_errors=errors,
+                bits_total=bits,
+                ber=ber,
+                ci95=1.96 * math.sqrt(ber * (1.0 - ber) / bits),
+                seed=point.master_seed,
             )
-            later = (len(cfg.snr_db_list) - 1 - i) * cfg.trials
-            errors, bits = _ber_point(point, run, later)
-            ber = errors / bits
-            records.append(
-                BerSweepRecord(
-                    scheme=cfg.scheme,
-                    detector=cfg.detector,
-                    snr_db=snr_db,
-                    rsr_db=cfg.rsr_db,
-                    m=cfg.m,
-                    n=cfg.n,
-                    qam=cfg.order,
-                    bit_errors=errors,
-                    bits_total=bits,
-                    ber=ber,
-                    ci95=1.96 * math.sqrt(ber * (1.0 - ber) / bits),
-                    seed=seed,
-                )
-            )
+        )
     return records
 
 
@@ -788,28 +882,27 @@ def run_phi_sweep(cfg: ExperimentConfig, telemetry: dict | None = None) -> list[
     """Reconstruction error vs phase offset; fresh draws at every offset.
 
     Point i of phi_list (default: default_phi_grid()) runs on sub-seed i.
-    telemetry, if given, gets "workers_started" (see `_Runner`).
+    Every offset's trials run in one round. telemetry, if given, gets
+    "workers_started" (see `_Runner`).
     """
-    records = []
     grid = cfg.phi_list or default_phi_grid()
+    spans = []
+    for i, phi in enumerate(grid):
+        point = replace(cfg, master_seed=derive_point_seed(cfg.master_seed, i))
+        spans.append(_Span(point, 0, _variance_trials(cfg), ((cfg.rsr_db, cfg.sigma_v_sq, phi),)))
     with _Runner(cfg.workers, telemetry) as run:
-        for i, phi in enumerate(grid):
-            seed = derive_point_seed(cfg.master_seed, i)
-            later = (len(grid) - 1 - i) * _variance_trials(cfg)
-            [(sigma_ve_sq, samples)] = _variance_points(
-                replace(cfg, master_seed=seed), [(cfg.rsr_db, cfg.sigma_v_sq, phi)], run, later
-            )
-            records.append(
-                PhiSweepRecord(
-                    phi_rad=phi,
-                    sigma_ve_sq=sigma_ve_sq,
-                    sigma_v_sq=cfg.sigma_v_sq,
-                    rsr_db=cfg.rsr_db,
-                    samples=samples,
-                    seed=seed,
-                )
-            )
-    return records
+        results = _variance_points(spans, run)
+    return [
+        PhiSweepRecord(
+            phi_rad=phi,
+            sigma_ve_sq=sigma_ve_sq,
+            sigma_v_sq=cfg.sigma_v_sq,
+            rsr_db=cfg.rsr_db,
+            samples=samples,
+            seed=span.cfg.master_seed,
+        )
+        for phi, span, [(sigma_ve_sq, samples)] in zip(grid, spans, results)
+    ]
 
 
 def run_rsr_sweep(cfg: ExperimentConfig, telemetry: dict | None = None) -> list[RsrSweepRecord]:
@@ -827,8 +920,9 @@ def run_rsr_sweep(cfg: ExperimentConfig, telemetry: dict | None = None) -> list[
         raise ValueError("sigma_v_sq_list must not be empty")
     grid = [(rsr_db, sigma_v_sq) for sigma_v_sq in cfg.sigma_v_sq_list
             for rsr_db in cfg.rsr_db_list]
+    span = _Span(cfg, 0, _variance_trials(cfg), tuple((r, sv, PI_HALF) for r, sv in grid))
     with _Runner(cfg.workers, telemetry) as run:
-        results = _variance_points(cfg, [(r, sv, PI_HALF) for r, sv in grid], run, 0)
+        [results] = _variance_points([span], run)
     return [
         RsrSweepRecord(
             rsr_db=rsr_db,

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from ramimo.channel import draw_channel, draw_noise, draw_reference, stream_rng
-from ramimo.cli import main
+from ramimo.cli import _usable_cores, main
 from ramimo.constellation import demap, make_qam, modulate, quantize
 from ramimo.frontend import observe_single
 from ramimo.montecarlo import (
@@ -153,8 +153,9 @@ def _single_slot_zf_ber(m, n, rsr_db, snr_db, trials, seed):
 
 
 def test_criterion_5_large_mimo_behavior():
+    # every usable core: the counts do not depend on the worker count
     common = dict(m=128, n=64, detector="zf", target_errors=200,
-                  trials=4000, master_seed=105)
+                  trials=4000, master_seed=105, workers=_usable_cores())
     rf = run_ber_sweep(ExperimentConfig(
         scheme="rf_baseline", snr_db_list=(8.0, 9.0, 10.0, 11.0, 12.0), **common))
     # coherent receiver at PRSS's own 16-QAM: the curve PRSS-ZF tends to at a

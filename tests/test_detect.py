@@ -46,7 +46,8 @@ def test_ml_matches_exhaustive_oracle_on_prss_trials():
         for snr_db in (6.0, 12.0, 18.0):
             cfg = ExperimentConfig(master_seed=seed, sigma_v_sq=snr_db_to_sigma_v_sq(snr_db))
             draws = _draws(cfg, trial_keys(seed, 0, 50, _ROLES["prss"]), _ROLES["prss"])
-            s_hat = _recover(_Shared(draws, cfg.n), cfg.rsr_db, cfg.sigma_v_sq, cfg.phi)
+            shared = _Shared(draws, cfg.n)
+            s_hat = _recover(shared, cfg.rsr_db, shared.noise(cfg.sigma_v_sq), cfg.phi)
             for t in range(50):
                 _assert_matches_oracle(s_hat[t], draws.H[t], C16)
 
@@ -124,7 +125,8 @@ def _prss_stack(trials, m, n, snr_db, seed):
     """Reconstructed s_hat and H of `trials` prss trials, stacked."""
     cfg = ExperimentConfig(m=m, n=n, master_seed=seed, sigma_v_sq=snr_db_to_sigma_v_sq(snr_db))
     draws = _draws(cfg, trial_keys(seed, 0, trials, _ROLES["prss"]), _ROLES["prss"])
-    return _recover(_Shared(draws, n), cfg.rsr_db, cfg.sigma_v_sq, cfg.phi), draws.H
+    shared = _Shared(draws, n)
+    return _recover(shared, cfg.rsr_db, shared.noise(cfg.sigma_v_sq), cfg.phi), draws.H
 
 
 @pytest.mark.parametrize("stack", [64, 2048, 10_000])

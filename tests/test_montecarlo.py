@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from ramimo import montecarlo
 from ramimo.channel import (
-    MAX_TRIALS, STREAM_IDS, draw_channel, draw_noise, draw_reference, keyed_rng,
-    stream_rng, trial_keys,
+    MAX_TRIALS, STREAM_IDS, derive_point_seed, draw_channel, draw_noise, draw_reference,
+    keyed_rng, stream_rng, trial_keys,
 )
 from ramimo.constellation import demap, make_qam, modulate
 from ramimo.detect import ml_linear_stacked, ml_single_shot_stacked, zf_linear
@@ -279,7 +279,7 @@ def _oracle_case(case):
 def test_ber_chunks_match_one_trial_oracle(case, chunk):
     cfg, want = _oracle_case(case)
     keys = trial_keys(cfg.master_seed, 0, _CHUNK_TRIALS, montecarlo._ROLES[cfg.scheme])
-    got = [montecarlo._ber_chunk(cfg, keys[lo : lo + chunk])
+    got = [montecarlo._ber_chunk(cfg, keys[lo : lo + chunk], cfg.sigma_v_sq)
            for lo in range(0, _CHUNK_TRIALS, chunk)]
     observed, x_hat, errors = (np.concatenate(part) for part in zip(*got))
     bits = cfg.n * make_qam(cfg.order).bits_per_symbol
@@ -351,6 +351,123 @@ def test_ber_sweep_counts_equal_serial_and_parallel(cfg):
     assert parallel == run_ber_sweep(cfg)
 
 
+def _per_point_batches(cfg):
+    """(bit errors, bits) of each point of cfg's BER sweep, run one point at
+    a time in BATCH_TRIALS-trial batches, each batch one stacked chunk,
+    until a batch ends at or past target_errors or the trial cap."""
+    roles = montecarlo._ROLES[cfg.scheme]
+    bits = cfg.n * make_qam(cfg.order).bits_per_symbol
+    counts = []
+    for i, snr_db in enumerate(cfg.snr_db_list):
+        seed = derive_point_seed(cfg.master_seed, i)
+        point = replace(cfg, sigma_v_sq=snr_db_to_sigma_v_sq(snr_db), master_seed=seed)
+        errors = done = 0
+        while done < cfg.trials and not (cfg.target_errors and errors >= cfg.target_errors):
+            stop = min(done + BATCH_TRIALS, cfg.trials)
+            keys = trial_keys(seed, done, stop, roles)
+            errors += int(montecarlo._ber_chunk(point, keys, point.sigma_v_sq)[2].sum())
+            done = stop
+        counts.append((errors, done * bits))
+    return counts
+
+
+@st.composite
+def _small_ber_sweeps(draw):
+    scheme, detector = draw(st.sampled_from(_VALID_PAIRS))
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(n if detector == "zf" else 1, 4))
+    return ExperimentConfig(
+        m=m, n=n, scheme=scheme, detector=detector,
+        qam_order=draw(st.sampled_from(montecarlo.QAM_ORDERS)),
+        snr_db_list=tuple(draw(st.lists(st.sampled_from([0.0, 6.0, 12.0, 30.0]),
+                                        min_size=1, max_size=4))),
+        # up to three batches per point, the last one short
+        trials=draw(st.integers(1, 3 * BATCH_TRIALS - 56)),
+        target_errors=draw(st.sampled_from([0, 2, 150])),
+        master_seed=draw(st.integers(0, 2**32)),
+        workers=draw(st.sampled_from([1, 2])),
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_small_ber_sweeps(), st.sampled_from([montecarlo._POOL_COST_S, 0.0]))
+def test_rounds_count_each_point_as_its_own_batch_loop(cfg, pool_cost_s):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_POOL_COST_S", pool_cost_s)
+        records = run_ber_sweep(cfg)
+    assert [(r.bit_errors, r.bits_total) for r in records] == _per_point_batches(cfg)
+
+
+@pytest.mark.parametrize("case", ["prss_ml_oblique", "prss_zf_minus_half_pi",
+                                  "rf_baseline_ml_16qam", "single_shot_ml"])
+def test_a_block_across_two_points_gives_each_trial_its_points_own_results(monkeypatch, case):
+    cfg = ExperimentConfig(master_seed=41, **_CHUNK_CASES[case])
+    points = [replace(cfg, master_seed=51, sigma_v_sq=0.4),
+              replace(cfg, master_seed=52, sigma_v_sq=0.02)]
+    spans = (montecarlo._Span(points[0], 5, 17), montecarlo._Span(points[1], 0, 9))
+    stacked = []
+    chunk = montecarlo._ber_chunk
+
+    def spy(*args):
+        stacked.append(chunk(*args))
+        return stacked[-1]
+
+    monkeypatch.setattr(montecarlo, "_ber_chunk", spy)
+    # the round's trials 4..17: the first point's trials 9..16, then the second's 0..5
+    errors = montecarlo._ber_spans(spans, 4, 18)
+    [(observed, x_hat, wrong)] = stacked  # one stacked chunk holds both points' trials
+    assert len(wrong) == 14
+    at = 0
+    for point, first, stop in ((points[0], 9, 17), (points[1], 0, 6)):
+        keys = trial_keys(point.master_seed, first, stop, montecarlo._ROLES[cfg.scheme])
+        own = chunk(point, keys, point.sigma_v_sq)
+        for t in range(stop - first):
+            assert observed[at + t].tobytes() == own[0][t].tobytes(), (point.master_seed, t)
+            assert x_hat[at + t].tobytes() == own[1][t].tobytes(), (point.master_seed, t)
+            assert wrong[at + t] == own[2][t], (point.master_seed, t)
+        at += stop - first
+    assert errors == [int(wrong[:8].sum()), int(wrong[8:].sum())]
+    assert errors[0] > 0  # the noisier point decides wrongly too
+
+
+_LONG_STEP = 2048  # the stacked chunk of an 8x4 BER trial (_ber_step)
+_real_ber_spans = montecarlo._ber_spans
+
+
+def _bounded_block(spans, lo, hi):
+    """The round's block, refusing a claimed chunk above a batch's cap."""
+    assert hi - lo <= max(_LONG_STEP, BATCH_TRIALS), (lo, hi)
+    return _real_ber_spans(spans, lo, hi)
+
+
+def _one_step_of_keys(seed, start, stop, roles):
+    assert stop - start <= _LONG_STEP, (start, stop)
+    return trial_keys(seed, start, stop, roles)
+
+
+def _no_detection(cfg, keys, sigma_v_sq):
+    """A chunk that counts one error per trial without detecting, so that
+    2^20 trials per point run in a second and each is seen to run once."""
+    assert len(keys) <= _LONG_STEP and len(sigma_v_sq) == len(keys)
+    return None, None, np.ones(len(keys), dtype=np.int64)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_long_round_is_claimed_in_bounded_chunks_keyed_a_step_at_a_time(monkeypatch, workers):
+    cfg = ExperimentConfig(m=8, n=4, scheme="rf_baseline", snr_db_list=(4.0, 8.0),
+                           trials=1 << 20, target_errors=0, master_seed=7, workers=workers)
+    assert montecarlo._ber_step(cfg) == _LONG_STEP
+    monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)  # the pool starts at once
+    monkeypatch.setattr(montecarlo, "trial_keys", _one_step_of_keys)
+    monkeypatch.setattr(montecarlo, "_ber_chunk", _no_detection)
+    if workers > 1:  # a serial run keeps each round as one block
+        monkeypatch.setattr(montecarlo, "_ber_spans", _bounded_block)
+    telemetry = {}
+    records = run_ber_sweep(cfg, telemetry)
+    assert telemetry["workers_started"] == workers - 1
+    assert [(r.bit_errors, r.bits_total) for r in records] == [(1 << 20, (1 << 20) * 8)] * 2
+
+
 def test_variance_trial_returns_ground_truth_pair():
     cfg = ExperimentConfig(m=16, n=2, scheme="prss", rsr_db=60.0, sigma_v_sq=0.0)
     s_hat, s = run_variance_trial(cfg, 0)
@@ -366,14 +483,15 @@ def test_ber_sweep_requires_points_and_trials():
 
 
 def test_ber_sweep_counts_and_stopping(monkeypatch):
-    spans = {}  # point seed -> the trial ranges that _ber_block ran for it
-    block = montecarlo._ber_block
+    spans = {}  # point seed -> the trial ranges that a round's blocks ran for it
+    block = montecarlo._ber_spans
 
-    def spy(cfg, lo, hi):
-        spans.setdefault(cfg.master_seed, []).append((lo, hi))
-        return block(cfg, lo, hi)
+    def spy(round_spans, lo, hi):
+        for i, first, stop in montecarlo._pieces(round_spans, lo, hi):
+            spans.setdefault(round_spans[i].cfg.master_seed, []).append((first, stop))
+        return block(round_spans, lo, hi)
 
-    monkeypatch.setattr(montecarlo, "_ber_block", spy)
+    monkeypatch.setattr(montecarlo, "_ber_spans", spy)
     cfg = ExperimentConfig(
         m=2, n=2, scheme="rf_baseline", detector="zf",
         snr_db_list=(0.0, 30.0), trials=1000, target_errors=50, master_seed=5,
@@ -479,7 +597,7 @@ def test_a_failed_pooled_sweep_joins_its_workers_and_restores_blas_threads(monke
     if api is None:
         pytest.skip("this process has no OpenBLAS with a thread-count control")
     monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)  # the pool starts at once
-    monkeypatch.setattr(montecarlo, "_ber_block", _refuse)  # every chunk fails
+    monkeypatch.setattr(montecarlo, "_ber_spans", _refuse)  # every chunk fails
     started = _process_starts(monkeypatch)
     cfg = ExperimentConfig(
         m=2, n=2, scheme="rf_baseline", detector="zf",
@@ -525,13 +643,13 @@ def test_caller_runs_one_blas_thread_in_a_parallel_run_that_never_forks(monkeypa
     if api is None:
         pytest.skip("this process has no OpenBLAS with a thread-count control")
     seen = []
-    block = montecarlo._ber_block
+    block = montecarlo._ber_spans
 
-    def spy(cfg, lo, hi):
+    def spy(spans, lo, hi):
         seen.append(api.get())
-        return block(cfg, lo, hi)
+        return block(spans, lo, hi)
 
-    monkeypatch.setattr(montecarlo, "_ber_block", spy)
+    monkeypatch.setattr(montecarlo, "_ber_spans", spy)
     monkeypatch.setattr(montecarlo, "_POOL_COST_S", math.inf)  # the pool never pays
     cfg = ExperimentConfig(
         m=2, n=2, scheme="rf_baseline", detector="zf",
@@ -636,10 +754,11 @@ _RSR = ExperimentConfig(
 
 
 @pytest.mark.parametrize("sweep, cfg, block_seconds, blocks_alone", [
-    # batches 0-2 of the first point run alone (the first as a chunk and its
-    # rest), the pool serves batch 3 on, and the point stops on target_errors
+    # rounds 0-2 run alone (round 0 as a timed first chunk and its rest),
+    # the pool serves round 3 on, and the first point stops on target_errors
     (run_ber_sweep, _TARGET_STOP, (0.0, 0.0, 0.0, 1e3), 4),
-    # the first point runs alone, the pool serves the other two
+    # a timed first chunk and one stacked chunk, which crosses into the
+    # second offset, run alone; the pool serves the rest
     (run_phi_sweep, _PHI, (0.0, 1e3), 2),
     # the caller's first chunk, then the pool for the rest of the one batch
     (run_rsr_sweep, _RSR, (1e3,), 1),
@@ -662,7 +781,8 @@ def test_a_pool_started_mid_sweep_returns_serial_records(
 ])
 def test_chunks_cover_the_batch_in_order_and_none_is_a_sliver(start, stop, width):
     counter = multiprocessing.Value("q", start)
-    claimed = montecarlo._take(counter, lambda arg, lo, hi: hi, None, start, stop, width)
+    size = montecarlo._chunk(start, stop, width, step=1)
+    claimed = montecarlo._take(counter, lambda arg, lo, hi: hi, None, start, stop, size)
     bounds = [start, *(claimed[lo] for lo in sorted(claimed))]
     assert sorted(claimed) == bounds[:-1] and bounds[-1] == stop  # contiguous, in order
     sizes = np.diff(bounds)
@@ -839,7 +959,7 @@ def test_energy_per_bit_equal_across_schemes():
 def test_confidence_width_scaling(monkeypatch):
     # ber and ci95 come from a point's (bit errors, bits), where its record is built
     counts = iter([(100, 10_000), (400, 40_000)])
-    monkeypatch.setattr(montecarlo, "_ber_point", lambda cfg, run, later: next(counts))
+    monkeypatch.setattr(montecarlo, "_ber_rounds", lambda points, run: list(counts))
     a, b = run_ber_sweep(ExperimentConfig(
         m=2, n=2, scheme="rf_baseline", detector="zf", snr_db_list=(5.0, 5.0)))
     assert a.ber == b.ber
