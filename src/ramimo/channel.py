@@ -46,18 +46,12 @@ def _hash_steps(hash_const: int, count: int, mult: int) -> tuple[list[int], list
     return before, after
 
 
-def _hashmix(value, before, after):
-    """SeedSequence's hashmix on Python ints or uint32 arrays, its constant given."""
+def _hashmix(value: int, before: int, after: int) -> int:
+    """SeedSequence's hashmix of a 32-bit word, its hash constant given."""
     value = (value ^ before) * after & _MASK32
     return value ^ value >> _XSHIFT
 
 
-def _mix(x, y):
-    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return value ^ value >> _XSHIFT
-
-
-@lru_cache(maxsize=16)
 def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     """SeedSequence's entropy pool after the seed words and the trial-domain
     word of the spawn key, and the hash constant it reached.
@@ -75,32 +69,70 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     return tuple(pool.tolist()), _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
 
 
-def trial_keys(seed: int, start: int, stop: int, roles) -> np.ndarray:
-    """Philox keys of trials start..stop-1, shape (stop - start, len(roles), 2).
+@lru_cache(maxsize=256)
+def _key_words(seed: int, roles: tuple[str, ...]) -> np.ndarray:
+    """The words of a trial key's hash that only the seed and the roles
+    decide, as one uint32 row: per pool word, the trial word's hash constants
+    before and after its step, and the pool word times _MIX_MULT_L; then per
+    role and pool word, the role word's hash times _MIX_MULT_R.
 
-    Entry [i, j] equals
-    `SeedSequence(seed, spawn_key=(0, start + i, STREAM_IDS[roles[j]])).generate_state(2, np.uint64)`
-    bit for bit. The seed's part of the hash is mixed once per seed; the
-    trial and role words are mixed for the whole block at once.
+    SeedSequence mixes a spawn-key word y into pool word x as
+    mix(x, y) = (_MIX_MULT_L x - _MIX_MULT_R y) mod 2^32, xor-shifted, so
+    each product that holds no trial word is taken here, once.
     """
-    if not 0 <= start <= stop <= MAX_TRIALS:
-        raise ValueError(f"trial range {start}..{stop} is outside 0..{MAX_TRIALS}")
     pool, hash_const = _seed_pool(seed)
     before, after = _hash_steps(hash_const, 2 * _POOL_SIZE, _MULT_A)
-
-    def consts(values, ndim):  # along axis 0, the pool axis
-        return np.array(values, dtype=np.uint32).reshape((-1,) + (1,) * (ndim - 1))
-
-    trials = np.arange(start, stop, dtype=np.uint32)
-    ids = np.array([STREAM_IDS[role] for role in roles], dtype=np.uint32)
-    # the trial word, then the role word, mixed into every pool word: (pool, trial, role)
     n = _POOL_SIZE
-    words = _mix(consts(pool, 2), _hashmix(trials, consts(before[:n], 2), consts(after[:n], 2)))
-    words = _mix(words[:, :, None], _hashmix(ids, consts(before[n:], 2), consts(after[n:], 2))[:, None])
+    pooled = [_MIX_MULT_L * word & _MASK32 for word in pool]
+    roled = [_MIX_MULT_R * _hashmix(STREAM_IDS[role], b, a) & _MASK32
+             for role in roles for b, a in zip(before[n:], after[n:])]
+    row = np.array(before[:n] + after[:n] + pooled + roled, dtype=np.uint32)
+    row.setflags(write=False)  # the cache hands this row to every caller
+    return row
+
+
+# generate_state's hash constants, before and after each output word's step
+_OUT_BEFORE, _OUT_AFTER = np.array(_hash_steps(_INIT_B, _POOL_SIZE, _MULT_B), dtype=np.uint32)
+
+
+def trial_keys(pieces, roles) -> np.ndarray:
+    """Philox keys of a block of trials laid end to end from pieces, each a
+    (seed, start, stop) of trials start..stop-1 keyed from seed: shape
+    (trials, len(roles), 2).
+
+    The key of piece (seed, start, stop)'s trial t and role roles[j] equals
+    `SeedSequence(seed, spawn_key=(0, t, STREAM_IDS[roles[j]])).generate_state(2, np.uint64)`
+    bit for bit. What a seed and the roles decide is hashed once per pair
+    (`_key_words`); the trial words of the whole block, whatever its seeds,
+    are hashed in one pass of uint32 arithmetic.
+    """
+    roles = tuple(roles)
+    n = _POOL_SIZE
+    tables, firsts, sizes = [], [], []
+    at = 0
+    for seed, start, stop in pieces:
+        if not 0 <= start <= stop <= MAX_TRIALS:
+            raise ValueError(f"trial range {start}..{stop} is outside 0..{MAX_TRIALS}")
+        tables.append(_key_words(seed, roles))
+        firsts.append((start - at) & _MASK32)  # row k holds trial k + first, mod 2^32
+        sizes.append(stop - start)
+        at += stop - start
+    words = np.array(tables, dtype=np.uint32).reshape(-1, (3 + len(roles)) * n)
+    firsts = np.array(firsts, dtype=np.uint32)
+    if len(sizes) > 1:  # each row gets its piece's words; a lone piece's broadcast
+        words, firsts = np.repeat(words, sizes, axis=0), np.repeat(firsts, sizes)
+    trials = np.arange(at, dtype=np.uint32) + firsts
+    # the trial word into every pool word, then the role word: (trial, role, pool word)
+    u = (trials[:, None] ^ words[:, :n]) * words[:, n:2 * n]
+    u ^= u >> _XSHIFT
+    w = words[:, 2 * n:3 * n] - _MIX_MULT_R * u
+    w ^= w >> _XSHIFT
+    v = (_MIX_MULT_L * w)[:, None] - words[:, 3 * n:].reshape(-1, len(roles), n)
+    v ^= v >> _XSHIFT
     # generate_state: one 32-bit word per pool word, read as little-endian pairs
-    out_before, out_after = _hash_steps(_INIT_B, _POOL_SIZE, _MULT_B)
-    out = _hashmix(words, consts(out_before, 3), consts(out_after, 3)).astype(np.uint64)
-    return np.stack((out[0] | out[1] << 32, out[2] | out[3] << 32), axis=-1)
+    out = (v ^ _OUT_BEFORE) * _OUT_AFTER
+    out ^= out >> _XSHIFT
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 # Philox's counter and buffer words at the head of a stream; the state setter
@@ -140,7 +172,7 @@ def keyed_rng(key) -> np.random.Generator:
 
 def stream_rng(seed: int, trial_index: int, stream: str) -> np.random.Generator:
     """Independent Philox generator for one (seed, trial, role) triple."""
-    key = trial_keys(seed, trial_index, trial_index + 1, (stream,))[0, 0]
+    key = trial_keys(((seed, trial_index, trial_index + 1),), (stream,))[0, 0]
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -246,14 +246,13 @@ def _write_manifest(path: str, command: str, resolved: dict, outputs: list[str],
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,
         # how the run executed; never read back, so replaying stays byte-identical
-        "env": run_environment(resolved["threads"]),
+        "env": run_environment(resolved["threads"], telemetry["workers_started"]),
         # threads - 1 if the run forked its workers, 0 if it never did
         "workers_started": telemetry["workers_started"],
         "note": "channel, reference and noise are redrawn every trial (fast fading)",
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2) + "\n")
 
 
 def _phi_grid_from(resolved: dict) -> tuple[tuple[float, ...], list[str]]:

@@ -100,6 +100,8 @@ def _qr_r(s_hat: np.ndarray, H: np.ndarray) -> np.ndarray:
     [H | s_hat] = QR with orthonormal Q, so ||s_hat - Hx|| = ||R[:, N] - R[:, :N] x||
     for every x, and Q is never formed.
     """
+    # the zeroed lower triangle is read: the bound's reach sums |R_rj| over
+    # every j < i, j < r included, and tol scales with ||R||_F
     return np.linalg.qr(np.concatenate([H, s_hat[..., None]], axis=-1), mode="r")
 
 

@@ -16,8 +16,8 @@ has an error target, and all of its trials when it has none; a phase sweep
 is one round of every offset.
 
 Each block of trials that a process claims derives its own stream keys
-(`trial_keys`, from each point's sub-seed, a BER block one stacked chunk at
-a time) and draws a trial's streams from one restarted generator
+(`trial_keys`, from each point's sub-seed, in one call per stacked chunk)
+and draws a trial's streams from one restarted generator
 (`keyed_rng`), each into its row of a chunk buffer per role. Every other
 step runs stacked, a chunk of trials per numpy call: the draws' elementwise
 steps; the frontend, reconstruction and squared error of a variance chunk,
@@ -29,10 +29,10 @@ One `_Runner` starts, feeds and joins a sweep's processes. With W > 1 it
 runs trials on the calling process alone, which times them, until the time
 that W - 1 forked workers would save on the trials the sweep may still run
 covers what starting them costs (`_POOL_COST_S`); the workers then run
-trials beside it for the rest of the sweep. Such a run keeps OpenBLAS on
-one thread in every process, the caller included, so W processes keep W
-cores busy instead of W times OpenBLAS's own thread count; a serial run
-keeps the process's BLAS threads.
+trials beside it for the rest of the sweep. Once they start, OpenBLAS runs
+on one thread in every process, the caller included, so W processes keep W
+cores busy instead of W times OpenBLAS's own thread count; a run that never
+forks, serial or not, keeps the process's BLAS threads.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import os
 import platform
 import signal
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import lru_cache
 from time import perf_counter
 from typing import Callable, NamedTuple
 
@@ -331,12 +331,28 @@ class _Shared:
     """
 
     def __init__(self, draws: _Draws, n: int):
+        self.draws, self.n = draws, n
         self.s = received(draws.H, draws.x)
-        self.rotated = cache(lambda phi: received(draws.H, rotate(draws.x, phi)))
-        self.reference = cache(
-            lambda rsr_db: reference_terms(reference_magnitude(n, rsr_db) * draws.e))
-        self.noise = cache(lambda sigma_v_sq: tuple(
-            noise_scale(sigma_v_sq) * w for w in (draws.w1, draws.w2)))
+        self.memo = {}  # each piece by (name, its parameter)
+
+    def rotated(self, phi: float) -> np.ndarray:
+        key = "rotated", phi
+        if key not in self.memo:
+            self.memo[key] = received(self.draws.H, rotate(self.draws.x, phi))
+        return self.memo[key]
+
+    def reference(self, rsr_db: float):
+        key = "reference", rsr_db
+        if key not in self.memo:
+            self.memo[key] = reference_terms(reference_magnitude(self.n, rsr_db) * self.draws.e)
+        return self.memo[key]
+
+    def noise(self, sigma_v_sq: float) -> tuple[np.ndarray, np.ndarray]:
+        key = "noise", sigma_v_sq
+        if key not in self.memo:
+            scale = noise_scale(sigma_v_sq)
+            self.memo[key] = scale * self.draws.w1, scale * self.draws.w2
+        return self.memo[key]
 
 
 def _recover(shared: _Shared, rsr_db: float, noise, phi: float):
@@ -386,7 +402,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[int, int]:
 
 def run_variance_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
     """One reconstruction trial: returns (s_hat, s) with s = Hx kept as ground truth."""
-    keys = trial_keys(cfg.master_seed, trial_index, trial_index + 1, _ROLES["prss"])
+    keys = trial_keys(((cfg.master_seed, trial_index, trial_index + 1),), _ROLES["prss"])
     shared = _Shared(_draws(cfg, keys, _ROLES["prss"]), cfg.n)
     s_hat = _recover(shared, cfg.rsr_db, shared.noise(cfg.sigma_v_sq), cfg.phi)
     return s_hat[0], shared.s[0]
@@ -430,21 +446,23 @@ def _ber_spans(spans, lo: int, hi: int) -> list[int]:
     lo..hi-1; the spans share every setting but seed and noise variance.
 
     The trials run in stacked chunks of _ber_step trials, which may cross
-    from one span into the next: each span's rows are keyed from its own
-    sub-seed, a chunk at a time, and carry its own noise variance.
+    from one span into the next: one `trial_keys` call per chunk keys each
+    span's rows from its own sub-seed, and each row carries its span's noise
+    variance.
     """
     cfg = spans[0].cfg
     step, roles = _ber_step(cfg), _ROLES[cfg.scheme]
     errors = [0] * len(spans)
     for a in range(lo, hi, step):
         pieces = list(_pieces(spans, a, min(a + step, hi)))
-        keys = np.concatenate([trial_keys(spans[i].cfg.master_seed, x, y, roles)
-                               for i, x, y in pieces])
+        keys = trial_keys([(spans[i].cfg.master_seed, x, y) for i, x, y in pieces], roles)
         sizes = [y - x for _, x, y in pieces]
         sigma_v_sq = np.repeat([spans[i].cfg.sigma_v_sq for i, _, _ in pieces], sizes)
         wrong = _ber_chunk(cfg, keys, sigma_v_sq[:, None])[2]
-        for (i, _, _), part in zip(pieces, np.split(wrong, np.cumsum(sizes[:-1]))):
-            errors[i] += int(part.sum())
+        at = 0
+        for (i, _, _), size in zip(pieces, sizes):
+            errors[i] += int(wrong[at:at + size].sum())
+            at += size
     return errors
 
 
@@ -463,7 +481,7 @@ def _variance_spans(spans, lo: int, hi: int) -> list[tuple[int, np.ndarray]]:
     out = []
     for i, x, y in _pieces(spans, lo, hi):
         cfg, points = spans[i].cfg, spans[i].points
-        keys = trial_keys(cfg.master_seed, x, y, _ROLES["prss"])
+        keys = trial_keys(((cfg.master_seed, x, y),), _ROLES["prss"])
         out.append((i, np.concatenate([_variance_chunk(cfg, keys[a:a + step], points)
                                        for a in range(0, y - x, step)], axis=1)))
     return out
@@ -713,11 +731,12 @@ class _Runner:
     sweep reads its stopping rules. Results are keyed by the chunk's first
     trial and returned in trial order, whichever process ran them.
 
-    Every process of a run with W > 1 runs OpenBLAS on one thread, the
-    caller from the start, so the manifest says true whether or not the
-    workers start; on a 2-vCPU host a 128x64 ZF trial also runs faster that
-    way. On exit the caller joins every worker that started, then gets its
-    own thread count back.
+    The caller drops OpenBLAS to one thread just before it forks, so every
+    process of a forked run runs one BLAS thread and none inherits a thread
+    team; on a 2-vCPU host a 128x64 ZF trial also runs faster that way. A
+    run that never forks makes no OpenBLAS call, as a serial run makes none.
+    On exit the caller joins every worker that started, then gets back the
+    thread count it had before the fork.
     """
 
     def __init__(self, width: int, telemetry: dict | None = None):
@@ -731,8 +750,6 @@ class _Runner:
         self.trials = 0
 
     def __enter__(self) -> "_Runner":
-        if self.width > 1:
-            self.blas_threads = _set_blas_threads(1)
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -748,7 +765,9 @@ class _Runner:
                 _set_blas_threads(self.blas_threads)
 
     def _start(self) -> None:
-        """Fork the W - 1 workers, which serve `map` until `__exit__`."""
+        """Fork the W - 1 workers, which serve `map` until `__exit__`, with
+        OpenBLAS on one thread in the caller first (see `_set_blas_threads`)."""
+        self.blas_threads = _set_blas_threads(1)
         ctx = multiprocessing.get_context()
         self.counter = ctx.Value("q", 0)
         # SIGINT is held off here, and so in each worker forked meanwhile:
@@ -817,11 +836,12 @@ class _Runner:
         return done + [claimed[lo] for lo in sorted(claimed)]
 
 
-def run_environment(workers: int) -> dict:
+def run_environment(workers: int, workers_started: int) -> dict:
     """Interpreter, numpy/BLAS build and pool settings of a run, for its manifest.
 
-    blas_threads_per_worker is 1 when pool workers are capped, the process's
-    own OpenBLAS thread count for a serial run, and None when unknown.
+    blas_threads_per_worker is 1 when the run forked workers (`_Runner` caps
+    every process of such a run), the process's own OpenBLAS thread count
+    for a run that never forked, and None when unknown.
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
@@ -831,7 +851,7 @@ def run_environment(workers: int) -> dict:
     if api is None:
         per_worker = None
     else:
-        per_worker = 1 if workers > 1 else api.get()
+        per_worker = 1 if workers_started else api.get()
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,

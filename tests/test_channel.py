@@ -118,7 +118,7 @@ def test_point_seed_derivation_stable():
     roles=st.permutations(sorted(STREAM_IDS)),
 )
 def test_trial_keys_match_seed_sequence(seed, trial, roles):
-    keys = trial_keys(seed, trial, trial + 1, roles)
+    keys = trial_keys([(seed, trial, trial + 1)], roles)
     assert keys.shape == (1, 5, 2) and keys.dtype == np.uint64
     for j, role in enumerate(roles):
         assert np.array_equal(keys[0, j], _seed_sequence_key(seed, trial, role)), role
@@ -129,12 +129,53 @@ def test_trial_keys_match_seed_sequence(seed, trial, roles):
 def test_trial_key_blocks_match_seed_sequence(seed):
     roles = ("noise2", "bits", "channel")
     for start, stop in ((0, 40), (77, 78), (MAX_TRIALS - 5, MAX_TRIALS)):
-        keys = trial_keys(seed, start, stop, roles)
+        keys = trial_keys([(seed, start, stop)], roles)
         assert keys.shape == (stop - start, 3, 2)
         for i, t in enumerate(range(start, stop)):
             for j, role in enumerate(roles):
                 assert np.array_equal(keys[i, j], _seed_sequence_key(seed, t, role))
-    assert trial_keys(seed, 5, 5, roles).shape == (0, 3, 2)
+    assert trial_keys([(seed, 5, 5)], roles).shape == (0, 3, 2)
+
+
+def _assert_block_keys_match(pieces, roles):
+    keys = trial_keys(pieces, roles)
+    rows = [(seed, t) for seed, start, stop in pieces for t in range(start, stop)]
+    assert keys.shape == (len(rows), len(roles), 2) and keys.dtype == np.uint64
+    for row, (seed, t) in zip(keys, rows):
+        for key, role in zip(row, roles):
+            assert np.array_equal(key, _seed_sequence_key(seed, t, role)), (seed, t, role)
+
+
+@pytest.mark.parametrize("pieces", [
+    # two points' 64-bit sub-seeds, as a BER chunk across points keys them
+    [(derive_point_seed(104, 0), 250, 256), (derive_point_seed(104, 1), 0, 5)],
+    # a one-trial piece and an empty one between others
+    [(2**64 - 1, 40, 41), (11, 8, 8), (2**63 + 5, 0, 3)],
+    # a seed of 2^128 or more takes another hash constant than one below it
+    [(2**128, 5, 8), (2**128 - 1, 5, 8), (2**200 + 9, MAX_TRIALS - 2, MAX_TRIALS)],
+    [(7, 3, 4)],
+    [],
+])
+def test_block_keys_of_pieces_match_seed_sequence(pieces):
+    _assert_block_keys_match(pieces, ("noise1", "reference", "bits"))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    pieces=st.lists(
+        st.tuples(st.integers(0, 2**140), st.integers(0, MAX_TRIALS - 6), st.integers(0, 5))
+        .map(lambda p: (p[0], p[1], p[1] + p[2])),
+        max_size=4,
+    ),
+    roles=st.permutations(sorted(STREAM_IDS)),
+)
+def test_any_block_of_pieces_keys_each_row_as_seed_sequence(pieces, roles):
+    _assert_block_keys_match(pieces, roles)
+
+
+def test_a_bad_piece_anywhere_in_a_block_is_refused():
+    with pytest.raises(ValueError):
+        trial_keys([(1, 0, 4), (2, 5, 3)], ("bits",))
 
 
 @pytest.mark.parametrize("seed,start,stop", [
@@ -146,11 +187,11 @@ def test_trial_key_blocks_match_seed_sequence(seed):
 ])
 def test_trial_keys_refuse_bad_ranges(seed, start, stop):
     with pytest.raises(ValueError):
-        trial_keys(seed, start, stop, ("bits",))
+        trial_keys([(seed, start, stop)], ("bits",))
 
 
 def test_keyed_rng_restarts_streams_exactly():
-    keys = trial_keys(2**70 + 3, 9, 12, sorted(STREAM_IDS))
+    keys = trial_keys([(2**70 + 3, 9, 12)], sorted(STREAM_IDS))
     for i, t in enumerate(range(9, 12)):
         for j, role in enumerate(sorted(STREAM_IDS)):
             # leave the shared generator mid-stream, with a buffered 32-bit half

@@ -71,7 +71,10 @@ def test_manifest_records_run_environment(tmp_path):
     }
     assert env["numpy"] == np.__version__
     assert env["workers"] == 2
-    assert env["blas_threads_per_worker"] in (1, None)
+    # one BLAS thread per process of a run that forked, else the caller's own count
+    api = montecarlo._blas_threads()
+    expected = None if api is None else 1 if data["workers_started"] else api.get()
+    assert env["blas_threads_per_worker"] == expected
     assert "env" not in data["config"]
     # the env block never reaches the CSV, and replaying ignores it
     assert main(["ber", "--config", str(out1 / "ber.manifest.json"), "--threads", "1",
@@ -89,7 +92,11 @@ def test_manifest_records_whether_the_run_forked(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "a" / "ber.manifest.json").read_text())["workers_started"] == 0
     monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)  # workers start before any trial
     assert main(tiny + ["--out", str(tmp_path / "b")]) == 0
-    assert json.loads((tmp_path / "b" / "ber.manifest.json").read_text())["workers_started"] == 1
+    forked = json.loads((tmp_path / "b" / "ber.manifest.json").read_text())
+    assert forked["workers_started"] == 1
+    # a run that forked ran one BLAS thread in every process
+    assert forked["env"]["blas_threads_per_worker"] == (None if montecarlo._blas_threads() is None
+                                                        else 1)
     assert (tmp_path / "a" / "ber.csv").read_bytes() == (tmp_path / "b" / "ber.csv").read_bytes()
 
 

@@ -45,7 +45,7 @@ def test_ml_matches_exhaustive_oracle_on_prss_trials():
     for seed in (104, ExperimentConfig.master_seed):
         for snr_db in (6.0, 12.0, 18.0):
             cfg = ExperimentConfig(master_seed=seed, sigma_v_sq=snr_db_to_sigma_v_sq(snr_db))
-            draws = _draws(cfg, trial_keys(seed, 0, 50, _ROLES["prss"]), _ROLES["prss"])
+            draws = _draws(cfg, trial_keys([(seed, 0, 50)], _ROLES["prss"]), _ROLES["prss"])
             shared = _Shared(draws, cfg.n)
             s_hat = _recover(shared, cfg.rsr_db, shared.noise(cfg.sigma_v_sq), cfg.phi)
             for t in range(50):
@@ -124,7 +124,7 @@ def test_stacked_ml_ties_match_exhaustive_oracle_per_trial(stack):
 def _prss_stack(trials, m, n, snr_db, seed):
     """Reconstructed s_hat and H of `trials` prss trials, stacked."""
     cfg = ExperimentConfig(m=m, n=n, master_seed=seed, sigma_v_sq=snr_db_to_sigma_v_sq(snr_db))
-    draws = _draws(cfg, trial_keys(seed, 0, trials, _ROLES["prss"]), _ROLES["prss"])
+    draws = _draws(cfg, trial_keys([(seed, 0, trials)], _ROLES["prss"]), _ROLES["prss"])
     shared = _Shared(draws, n)
     return _recover(shared, cfg.rsr_db, shared.noise(cfg.sigma_v_sq), cfg.phi), draws.H
 

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import multiprocessing
 import os
@@ -19,6 +20,7 @@ from ramimo.channel import (
     MAX_TRIALS, STREAM_IDS, derive_point_seed, draw_channel, draw_noise, draw_reference,
     keyed_rng, stream_rng, trial_keys,
 )
+from ramimo.cli import main
 from ramimo.constellation import demap, make_qam, modulate
 from ramimo.detect import ml_linear_stacked, ml_single_shot_stacked, zf_linear
 from ramimo.frontend import observe_prss, observe_single
@@ -129,9 +131,9 @@ def test_trials_derive_only_the_streams_they_use(monkeypatch):
     derived = []
     real = montecarlo.trial_keys
 
-    def spy(seed, start, stop, roles):
+    def spy(pieces, roles):
         derived.append(tuple(roles))
-        return real(seed, start, stop, roles)
+        return real(pieces, roles)
 
     monkeypatch.setattr(montecarlo, "trial_keys", spy)
     one_slot = ["bits", "channel", "noise1"]
@@ -148,6 +150,12 @@ def test_trials_derive_only_the_streams_they_use(monkeypatch):
         derived.clear()
         montecarlo._ber_block(ExperimentConfig(m=4, n=2, scheme=scheme), 0, 5)
         assert [sorted(roles) for roles in derived] == [sorted(streams)], scheme
+        # and so does a stacked chunk that crosses from one point into the next
+        derived.clear()
+        cfg = ExperimentConfig(m=4, n=2, scheme=scheme)
+        spans = [montecarlo._Span(cfg, 0, 3), montecarlo._Span(replace(cfg, master_seed=5), 2, 6)]
+        montecarlo._ber_spans(spans, 1, 6)
+        assert [sorted(roles) for roles in derived] == [sorted(streams)], scheme
     derived.clear()
     run_variance_trial(ExperimentConfig(m=4, n=2), 3)
     assert [sorted(roles) for roles in derived] == [sorted(STREAM_IDS)]
@@ -156,7 +164,7 @@ def test_trials_derive_only_the_streams_they_use(monkeypatch):
 def test_fair_bits_from_raw_words_match_draw_bits():
     # bits 31 and 63 of each raw Philox word are what integers(0, 2) draws;
     # odd counts drop the last word's high half
-    keys = trial_keys(2026, 0, 1000, ("bits",))[:, 0]
+    keys = trial_keys([(2026, 0, 1000)], ("bits",))[:, 0]
     rows = keys.tolist()
     for count in range(1, 34):
         got = montecarlo._fair_bits(rows, count)
@@ -206,7 +214,7 @@ def test_variance_chunk_points_keep_their_bits_when_sharing_terms():
     # a chunk computes Hx, H(x e^{j phi}), the reference terms and the scaled
     # noise once for every point that shares them; each point alone computes its own
     cfg = ExperimentConfig(m=64, n=2, master_seed=33)
-    keys = trial_keys(cfg.master_seed, 0, 5, montecarlo._ROLES["prss"])
+    keys = trial_keys([(cfg.master_seed, 0, 5)], montecarlo._ROLES["prss"])
     points = [(rsr, sv, phi) for phi in (PI / 2, 0.9, -PI / 2)
               for sv in (0.1, 0.001) for rsr in (20.0, 35.0)]
     got = montecarlo._variance_chunk(cfg, keys, points)
@@ -278,7 +286,7 @@ def _oracle_case(case):
 @pytest.mark.parametrize("case", sorted(_CHUNK_CASES))
 def test_ber_chunks_match_one_trial_oracle(case, chunk):
     cfg, want = _oracle_case(case)
-    keys = trial_keys(cfg.master_seed, 0, _CHUNK_TRIALS, montecarlo._ROLES[cfg.scheme])
+    keys = trial_keys([(cfg.master_seed, 0, _CHUNK_TRIALS)], montecarlo._ROLES[cfg.scheme])
     got = [montecarlo._ber_chunk(cfg, keys[lo : lo + chunk], cfg.sigma_v_sq)
            for lo in range(0, _CHUNK_TRIALS, chunk)]
     observed, x_hat, errors = (np.concatenate(part) for part in zip(*got))
@@ -364,7 +372,7 @@ def _per_point_batches(cfg):
         errors = done = 0
         while done < cfg.trials and not (cfg.target_errors and errors >= cfg.target_errors):
             stop = min(done + BATCH_TRIALS, cfg.trials)
-            keys = trial_keys(seed, done, stop, roles)
+            keys = trial_keys([(seed, done, stop)], roles)
             errors += int(montecarlo._ber_chunk(point, keys, point.sigma_v_sq)[2].sum())
             done = stop
         counts.append((errors, done * bits))
@@ -419,7 +427,7 @@ def test_a_block_across_two_points_gives_each_trial_its_points_own_results(monke
     assert len(wrong) == 14
     at = 0
     for point, first, stop in ((points[0], 9, 17), (points[1], 0, 6)):
-        keys = trial_keys(point.master_seed, first, stop, montecarlo._ROLES[cfg.scheme])
+        keys = trial_keys([(point.master_seed, first, stop)], montecarlo._ROLES[cfg.scheme])
         own = chunk(point, keys, point.sigma_v_sq)
         for t in range(stop - first):
             assert observed[at + t].tobytes() == own[0][t].tobytes(), (point.master_seed, t)
@@ -440,9 +448,9 @@ def _bounded_block(spans, lo, hi):
     return _real_ber_spans(spans, lo, hi)
 
 
-def _one_step_of_keys(seed, start, stop, roles):
-    assert stop - start <= _LONG_STEP, (start, stop)
-    return trial_keys(seed, start, stop, roles)
+def _one_step_of_keys(pieces, roles):
+    assert sum(stop - start for _, start, stop in pieces) <= _LONG_STEP, pieces
+    return trial_keys(pieces, roles)
 
 
 def _no_detection(cfg, keys, sigma_v_sq):
@@ -638,31 +646,39 @@ def test_a_worker_that_dies_reaches_the_caller_by_pid_and_exit_code(monkeypatch)
         f"worker {proc.pid} died in a batch (exit code {-signal.SIGKILL})")
 
 
-def test_caller_runs_one_blas_thread_in_a_parallel_run_that_never_forks(monkeypatch):
+def test_a_parallel_run_that_never_forks_keeps_the_callers_blas_threads(monkeypatch, tmp_path):
     api = montecarlo._blas_threads()
     if api is None:
         pytest.skip("this process has no OpenBLAS with a thread-count control")
-    seen = []
-    block = montecarlo._ber_spans
+    calls, seen = [], []
+    block, set_threads = montecarlo._ber_spans, montecarlo._set_blas_threads
 
-    def spy(spans, lo, hi):
-        seen.append(api.get())
+    def blocks(spans, lo, hi):
+        seen.append((api.get(), len(os.listdir("/proc/self/task"))))
         return block(spans, lo, hi)
 
-    monkeypatch.setattr(montecarlo, "_ber_spans", spy)
+    def thread_calls(count):
+        calls.append(count)
+        return set_threads(count)
+
+    monkeypatch.setattr(montecarlo, "_ber_spans", blocks)
+    monkeypatch.setattr(montecarlo, "_set_blas_threads", thread_calls)
     monkeypatch.setattr(montecarlo, "_POOL_COST_S", math.inf)  # the pool never pays
-    cfg = ExperimentConfig(
-        m=2, n=2, scheme="rf_baseline", detector="zf",
-        snr_db_list=(5.0, 9.0), trials=300, master_seed=9, workers=2,
-    )
     original = api.get()
     api.set(2)
     try:
-        telemetry = {}
-        run_ber_sweep(cfg, telemetry)
-        assert telemetry["workers_started"] == 0
-        assert seen and set(seen) == {1}  # every block, the timed first chunk included
-        assert api.get() == 2
+        np.ones((256, 256)) @ np.ones((256, 256))  # the caller's BLAS team is running
+        tasks = len(os.listdir("/proc/self/task"))
+        assert main(["ber", "--scheme", "rf_baseline", "--detector", "zf", "--m", "2", "--n", "2",
+                     "--snr-db-list", "5,9", "--trials", "300", "--seed", "9", "--threads", "2",
+                     "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "ber.manifest.json").read_text())
+        assert manifest["workers_started"] == 0
+        assert calls == []  # no OpenBLAS thread call at all
+        # every block, the timed first chunk included, on the caller's own threads
+        assert seen and set(seen) == {(2, tasks)}
+        assert api.get() == 2 and len(os.listdir("/proc/self/task")) == tasks
+        assert manifest["env"]["blas_threads_per_worker"] == 2
     finally:
         api.set(original)
 
@@ -675,7 +691,7 @@ def test_parallel_without_blas_control_matches_serial(monkeypatch):
         snr_db_list=(5.0, 15.0), trials=600, target_errors=100, master_seed=9,
     )
     assert run_ber_sweep(replace(base, workers=2)) == run_ber_sweep(base)
-    assert montecarlo.run_environment(2)["blas_threads_per_worker"] is None
+    assert montecarlo.run_environment(2, 1)["blas_threads_per_worker"] is None
 
 
 class _Clock:
