@@ -9,6 +9,7 @@ integer value of its bit label, so modulation is a table lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +41,7 @@ def _gray_inverse(g: int) -> int:
     return i
 
 
+@lru_cache(maxsize=8)
 def make_qam(order: int) -> Constellation:
     """Build a Gray-labeled square QAM constellation with unit average energy.
 
@@ -47,8 +49,9 @@ def make_qam(order: int) -> Constellation:
         order: Alphabet size, one of 4, 16, 64.
 
     Returns:
-        Constellation whose point at index v carries bit label bin(v); the
-        high half of the label Gray-codes the real amplitude, the low half
+        One cached Constellation per order, shared by every caller (its
+        points are read-only); the point at index v carries bit label
+        bin(v), whose high half Gray-codes the real amplitude and low half
         the imaginary amplitude.
 
     Raises:

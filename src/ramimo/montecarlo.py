@@ -229,11 +229,6 @@ class RsrSweepRecord:
     seed: int
 
 
-@lru_cache(maxsize=8)
-def _alphabet(order: int):
-    return make_qam(order)
-
-
 def snr_db_to_sigma_v_sq(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
@@ -296,7 +291,7 @@ def _draws(cfg: ExperimentConfig, keys: np.ndarray, roles: tuple[str, ...]) -> _
     `draw_channel`, `draw_phasors` and `draw_complex_normal` on each row, so
     every value is bit for bit what those and `integers(0, 2)` give per trial.
     """
-    c = _alphabet(cfg.order)
+    c = make_qam(cfg.order)
     trials, m, n = len(keys), cfg.m, cfg.n
     out = dict.fromkeys(STREAM_IDS)
     for role, column in zip(roles, keys.transpose(1, 0, 2).tolist()):
@@ -376,7 +371,7 @@ def _ber_chunk(cfg: ExperimentConfig, keys: np.ndarray, sigma_v_sq):
     Hx + v1, or prss's reconstruction), or single_shot's readout z. errors
     counts each trial's wrong bits.
     """
-    c = _alphabet(cfg.order)
+    c = make_qam(cfg.order)
     draws = _draws(cfg, keys, _ROLES[cfg.scheme])
     scale = noise_scale(sigma_v_sq)
     if cfg.scheme == "single_shot":
@@ -397,7 +392,8 @@ def _ber_chunk(cfg: ExperimentConfig, keys: np.ndarray, sigma_v_sq):
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[int, int]:
     """One detection trial on fresh draws; returns (bit_errors, bits)."""
-    return _ber_block(cfg, trial_index, trial_index + 1)
+    [errors] = _ber_spans((_Span(cfg, trial_index, trial_index + 1),), 0, 1)
+    return errors, cfg.n * make_qam(cfg.order).bits_per_symbol
 
 
 def run_variance_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -466,12 +462,6 @@ def _ber_spans(spans, lo: int, hi: int) -> list[int]:
     return errors
 
 
-def _ber_block(cfg: ExperimentConfig, lo: int, hi: int) -> tuple[int, int]:
-    """(bit errors, bits) of trials lo..hi-1 of the point cfg."""
-    [errors] = _ber_spans((_Span(cfg, lo, hi),), 0, hi - lo)
-    return errors, (hi - lo) * cfg.n * _alphabet(cfg.order).bits_per_symbol
-
-
 def _variance_spans(spans, lo: int, hi: int) -> list[tuple[int, np.ndarray]]:
     """(span index, ||s_hat - s||^2 at each of its points) of each span's
     part of a variance round's trials lo..hi-1, an array of shape (points,
@@ -485,16 +475,6 @@ def _variance_spans(spans, lo: int, hi: int) -> list[tuple[int, np.ndarray]]:
         out.append((i, np.concatenate([_variance_chunk(cfg, keys[a:a + step], points)
                                        for a in range(0, y - x, step)], axis=1)))
     return out
-
-
-def _variance_block(job, lo: int, hi: int) -> np.ndarray:
-    """||s_hat - s||^2 of trials lo..hi-1 at each point: shape (points, hi - lo).
-
-    job is (cfg, points), each point an (rsr_db, sigma_v_sq, phi) triple.
-    """
-    cfg, points = job
-    [(_, rows)] = _variance_spans((_Span(cfg, lo, hi, tuple(points)),), 0, hi - lo)
-    return rows
 
 
 def _variance_chunk(cfg: ExperimentConfig, keys: np.ndarray, points) -> np.ndarray:
@@ -539,7 +519,7 @@ def _ber_rounds(points, run: _Runner) -> list[tuple[int, int]]:
             done[i] = span.stop
         running = [i for i in running if done[i] < cfg.trials
                    and not (cfg.target_errors and errors[i] >= cfg.target_errors)]
-    bits = cfg.n * _alphabet(cfg.order).bits_per_symbol
+    bits = cfg.n * make_qam(cfg.order).bits_per_symbol
     return [(e, trials * bits) for e, trials in zip(errors, done)]
 
 

@@ -86,6 +86,11 @@ def test_noise_negative_variance():
         draw_noise(4, -0.1, stream_rng(5, 0, "noise1"))
 
 
+def test_noise_needs_a_receiver():
+    with pytest.raises(ValueError, match="M must be positive"):
+        draw_noise(0, 0.1, stream_rng(5, 0, "noise1"))
+
+
 def test_streams_deterministic_and_independent():
     a = draw_channel(4, 2, stream_rng(7, 3, "channel"))
     b = draw_channel(4, 2, stream_rng(7, 3, "channel"))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ramimo import montecarlo
-from ramimo.cli import DEFAULTS, _build_parser, main
+from ramimo.cli import DEFAULTS, _build_parser, _usable_cores, main
 
 BER_ARGS = [
     "ber", "--scheme", "rf_baseline", "--detector", "zf", "--m", "4", "--n", "2",
@@ -108,6 +108,15 @@ def test_default_threads_is_usable_cores(tmp_path):
         assert threads == len(os.sched_getaffinity(0))
     else:
         assert threads == (os.cpu_count() or 1)
+
+
+def test_usable_cores_without_affinity(monkeypatch):
+    # where the OS reports no affinity, every core counts, and an unknown count is 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _usable_cores() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _usable_cores() == 1
 
 
 def test_threads_flag_does_not_change_results(tmp_path):

@@ -35,6 +35,13 @@ def test_qam16_points_grid():
         assert round(p.imag) in (-3, -1, 1, 3) and abs(p.imag - round(p.imag)) < 1e-9
 
 
+def test_alphabets_are_built_once_and_read_only():
+    c = make_qam(16)
+    assert make_qam(16) is c
+    with pytest.raises(ValueError):
+        c.points[0] = 0.0
+
+
 @pytest.mark.parametrize("order", [3, 8, 32, 0, 256])
 def test_non_square_order_rejected(order):
     with pytest.raises(ValueError):

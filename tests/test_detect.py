@@ -44,12 +44,9 @@ def test_ml_matches_exhaustive_oracle_on_prss_trials():
     # 2 seeds x 3 SNRs x 50 trials = 300 reconstructed 8x4 16-QAM observations
     for seed in (104, ExperimentConfig.master_seed):
         for snr_db in (6.0, 12.0, 18.0):
-            cfg = ExperimentConfig(master_seed=seed, sigma_v_sq=snr_db_to_sigma_v_sq(snr_db))
-            draws = _draws(cfg, trial_keys([(seed, 0, 50)], _ROLES["prss"]), _ROLES["prss"])
-            shared = _Shared(draws, cfg.n)
-            s_hat = _recover(shared, cfg.rsr_db, shared.noise(cfg.sigma_v_sq), cfg.phi)
+            s_hat, H = _prss_stack(50, 8, 4, snr_db, seed)
             for t in range(50):
-                _assert_matches_oracle(s_hat[t], draws.H[t], C16)
+                _assert_matches_oracle(s_hat[t], H[t], C16)
 
 
 # (1, 3), (2, 4) and (2, 3): K = min(M, N + 1) < N, so users K..N-1 have no

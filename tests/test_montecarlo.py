@@ -1,4 +1,5 @@
 import functools
+import io
 import json
 import math
 import multiprocessing
@@ -7,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -148,11 +150,11 @@ def test_trials_derive_only_the_streams_they_use(monkeypatch):
         assert [sorted(roles) for roles in derived] == [sorted(streams)], scheme
         # a BER batch derives the same roles, once for the whole batch
         derived.clear()
-        montecarlo._ber_block(ExperimentConfig(m=4, n=2, scheme=scheme), 0, 5)
+        cfg = ExperimentConfig(m=4, n=2, scheme=scheme)
+        montecarlo._ber_spans((montecarlo._Span(cfg, 0, 5),), 0, 5)
         assert [sorted(roles) for roles in derived] == [sorted(streams)], scheme
         # and so does a stacked chunk that crosses from one point into the next
         derived.clear()
-        cfg = ExperimentConfig(m=4, n=2, scheme=scheme)
         spans = [montecarlo._Span(cfg, 0, 3), montecarlo._Span(replace(cfg, master_seed=5), 2, 6)]
         montecarlo._ber_spans(spans, 1, 6)
         assert [sorted(roles) for roles in derived] == [sorted(streams)], scheme
@@ -193,9 +195,9 @@ def _oracle_variance(cfg, t):
 def test_batched_variance_matches_per_trial_oracle(monkeypatch, m, n, phi, chunk):
     monkeypatch.setattr(montecarlo, "_VARIANCE_ROWS", chunk * m)
     cfg = ExperimentConfig(m=m, n=n, rsr_db=25.0, sigma_v_sq=0.05, phi=phi, master_seed=31)
-    points = [(cfg.rsr_db, cfg.sigma_v_sq, phi)]
+    points = ((cfg.rsr_db, cfg.sigma_v_sq, phi),)
     # trials 8..24: they start mid-batch, and the last chunk may run short
-    got = montecarlo._variance_block((cfg, points), 8, 25)
+    [(_, got)] = montecarlo._variance_spans((montecarlo._Span(cfg, 8, 25, points),), 0, 17)
     assert got.shape == (1, 17)
     want = [_oracle_variance(cfg, t) for t in range(8, 25)]
     assert got[0].tobytes() == np.array(want).tobytes()
@@ -203,8 +205,8 @@ def test_batched_variance_matches_per_trial_oracle(monkeypatch, m, n, phi, chunk
 
 def test_batched_variance_points_share_draws():
     cfg = ExperimentConfig(m=16, n=2, master_seed=32)
-    points = [(rsr, sv, PI / 2) for sv in (0.1, 0.0) for rsr in (15.0, 40.0)]
-    got = montecarlo._variance_block((cfg, points), 0, 7)
+    points = tuple((rsr, sv, PI / 2) for sv in (0.1, 0.0) for rsr in (15.0, 40.0))
+    [(_, got)] = montecarlo._variance_spans((montecarlo._Span(cfg, 0, 7, points),), 0, 7)
     for p, (rsr, sv, phi) in enumerate(points):
         point = replace(cfg, rsr_db=rsr, sigma_v_sq=sv, phi=phi)
         assert got[p].tobytes() == np.array([_oracle_variance(point, t) for t in range(7)]).tobytes()
@@ -296,8 +298,8 @@ def test_ber_chunks_match_one_trial_oracle(case, chunk):
         assert x_hat[t].tobytes() == xh.tobytes(), t
         assert (int(errors[t]), bits) == (e, b), t
     total = sum(e for _, _, e, _ in want)
-    assert montecarlo._ber_block(cfg, 0, _CHUNK_TRIALS) == (
-        total, _CHUNK_TRIALS * bits)
+    span = montecarlo._Span(cfg, 0, _CHUNK_TRIALS)
+    assert montecarlo._ber_spans((span,), 0, _CHUNK_TRIALS) == [total]
     if case == "prss_ml_noiseless":
         assert total == 0
     else:  # the comparison covers wrong decisions too
@@ -692,6 +694,50 @@ def test_parallel_without_blas_control_matches_serial(monkeypatch):
     )
     assert run_ber_sweep(replace(base, workers=2)) == run_ber_sweep(base)
     assert montecarlo.run_environment(2, 1)["blas_threads_per_worker"] is None
+
+
+@pytest.fixture
+def uncached_blas_threads():
+    """`_blas_threads` looked up afresh in the test, and again after it."""
+    montecarlo._blas_threads.cache_clear()
+    yield montecarlo._blas_threads
+    montecarlo._blas_threads.cache_clear()
+
+
+def _maps(monkeypatch, *paths):
+    """Make /proc/self/maps, as `_blas_threads` reads it, map just paths."""
+    lines = "".join(f"7f00-7f01 r-xp 00000000 08:01 1 {path}\n" for path in paths)
+    monkeypatch.setattr(montecarlo, "open", lambda *_, **__: io.StringIO(lines), raising=False)
+
+
+def test_no_blas_threads_without_proc_maps(monkeypatch, uncached_blas_threads):
+    def refuse(*_, **__):
+        raise FileNotFoundError("/proc/self/maps")
+
+    monkeypatch.setattr(montecarlo, "open", refuse, raising=False)
+    assert uncached_blas_threads() is None
+
+
+def test_no_blas_threads_when_a_mapped_openblas_does_not_load(monkeypatch, uncached_blas_threads):
+    _maps(monkeypatch, "/nonexistent/libopenblas.so.0")
+    assert uncached_blas_threads() is None
+
+
+def test_no_blas_threads_without_a_thread_count_pair(monkeypatch, uncached_blas_threads):
+    # each library loads, but exports one half of a pair at most
+    libs = {
+        "/lib/libopenblas.so": types.SimpleNamespace(openblas_set_num_threads=None),
+        "/lib/libscipy_openblas64_.so": types.SimpleNamespace(
+            scipy_openblas_get_num_threads64_=None),
+    }
+    _maps(monkeypatch, *libs)
+    monkeypatch.setattr(montecarlo.ctypes, "CDLL", libs.__getitem__)
+    assert uncached_blas_threads() is None
+
+
+def test_run_environment_without_a_build_config(monkeypatch):
+    monkeypatch.setattr(np, "show_config", lambda *_, **__: None)  # as numpy < 1.26
+    assert montecarlo.run_environment(1, 0)["blas"] is None
 
 
 class _Clock:
