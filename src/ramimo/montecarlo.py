@@ -698,10 +698,10 @@ class _Runner:
     ceil(B / 2W) trials it would have claimed of a B-trial batch
     (BATCH_TRIALS, or the range if shorter), or one stacked chunk of them
     (step trials) if that is fewer, so a heavy trial or a long range costs
-    no long wait alone; after that, each block it runs alone is one stacked
-    chunk, which may cross from one point of a round into the next. A
-    serial run (W = 1) runs each range as one block. Only time and trial
-    caps are read, and no trial depends on who runs it, so no result moves.
+    no long wait alone; then it runs the rest of each range as one block,
+    as a serial run (W = 1) does: the rule already projects over every
+    trial the sweep may still run. Only time and trial caps are read, and
+    no trial depends on who runs it, so no result moves.
     telemetry gets "workers_started": W - 1 once the workers start, else 0.
 
     Once the workers start, each process claims the next chunk of a range
@@ -784,11 +784,9 @@ class _Runner:
                 self._start()
                 continue
             hi = stop
-            if self.width > 1:  # one stacked chunk, then the rule again
-                hi = min(stop, start + step)
-                if not self.trials:  # a first chunk to time: one batch's chunk at most
-                    batch = min(stop, start + BATCH_TRIALS)
-                    hi = min(hi, start + _chunk(start, batch, self.width, step))
+            if self.width > 1 and not self.trials:  # a first chunk to time, then the rest
+                batch = min(stop, start + BATCH_TRIALS)
+                hi = start + min(step, _chunk(start, batch, self.width, step))
             began = perf_counter()
             done.append(block(arg, start, hi))
             self.seconds += perf_counter() - began

@@ -819,9 +819,9 @@ _RSR = ExperimentConfig(
     # rounds 0-2 run alone (round 0 as a timed first chunk and its rest),
     # the pool serves round 3 on, and the first point stops on target_errors
     (run_ber_sweep, _TARGET_STOP, (0.0, 0.0, 0.0, 1e3), 4),
-    # a timed first chunk and one stacked chunk, which crosses into the
-    # second offset, run alone; the pool serves the rest
-    (run_phi_sweep, _PHI, (0.0, 1e3), 2),
+    # the timed first chunk (20 trials) alone, then the pool, whose claims
+    # of 17 trials cross from one offset into the next
+    (run_phi_sweep, _PHI, (1e3,), 1),
     # the caller's first chunk, then the pool for the rest of the one batch
     (run_rsr_sweep, _RSR, (1e3,), 1),
 ], ids=["ber_target_errors", "phi_sweep", "rsr_sweep"])
@@ -836,6 +836,57 @@ def test_a_pool_started_mid_sweep_returns_serial_records(
     assert sweep(replace(cfg, workers=3), telemetry) == serial
     assert telemetry["workers_started"] == 2
     assert clock.blocks == blocks_alone
+
+
+def _counted(monkeypatch, *names) -> dict:
+    """Count the calls to each named function of `montecarlo`, which the
+    sweeps look up at call time, and let each call run."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(montecarlo, name, counting(name, getattr(montecarlo, name)))
+    return counts
+
+
+_VARIANCE_512 = ExperimentConfig(m=512, n=2, scheme="prss", samples=16 * 512, master_seed=24)
+
+
+@pytest.mark.parametrize("sweep, cfg, block, serial_blocks, serial_keys", [
+    # the benchmark's phi-sweep line: one round of 4 offsets x 16 trials,
+    # keyed once per offset; stacked chunks of 4 trials
+    (run_phi_sweep, replace(_VARIANCE_512, rsr_db=30.0, sigma_v_sq=0.1,
+                            phi_list=(-PI / 2, -PI / 4, PI / 4, PI / 2)),
+     "_variance_spans", 1, 4),
+    # the benchmark's rsr-sweep line: one span of 16 trials for 21 points
+    (run_rsr_sweep, replace(_VARIANCE_512, rsr_db_list=(15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0),
+                            sigma_v_sq_list=(0.1, 0.01, 0.001)),
+     "_variance_spans", 1, 1),
+    # three rounds (the first point stops on target_errors after one) whose
+    # 256-512 trials each take 2-4 stacked chunks of 128 trials
+    (run_ber_sweep, ExperimentConfig(m=32, n=16, scheme="rf_baseline", detector="zf",
+                                     snr_db_list=(0.0, 30.0), trials=768, target_errors=500,
+                                     master_seed=25),
+     "_ber_spans", 3, 8),
+], ids=["phi_sweep", "rsr_sweep", "ber_target_errors"])
+def test_a_parallel_sweep_that_never_forks_runs_each_round_as_serial_does(
+        monkeypatch, sweep, cfg, block, serial_blocks, serial_keys):
+    monkeypatch.setattr(montecarlo, "_POOL_COST_S", math.inf)  # the pool never pays
+    counts = _counted(monkeypatch, block, "trial_keys")
+    serial = sweep(cfg)
+    assert counts == {block: serial_blocks, "trial_keys": serial_keys}
+    counts.update(dict.fromkeys(counts, 0))
+    telemetry = {}
+    assert sweep(replace(cfg, workers=2), telemetry) == serial
+    assert telemetry["workers_started"] == 0
+    # the serial run's blocks and key derivations, plus the timed first
+    # chunk's one of each: the rest of its round runs as one block
+    assert counts == {block: serial_blocks + 1, "trial_keys": serial_keys + 1}
 
 
 @pytest.mark.parametrize("start, stop, width", [
