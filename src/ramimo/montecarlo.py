@@ -32,7 +32,9 @@ covers what starting them costs (`_POOL_COST_S`); the workers then run
 trials beside it for the rest of the sweep. Once they start, OpenBLAS runs
 on one thread in every process, the caller included, so W processes keep W
 cores busy instead of W times OpenBLAS's own thread count; a run that never
-forks, serial or not, keeps the process's BLAS threads.
+forks, serial or not, keeps the process's BLAS threads. Before its first
+chunk, every sweep has glibc keep the process's freed heap (`_keep_heap`),
+so chunk after chunk reuses the same pages instead of faulting them in anew.
 """
 
 from __future__ import annotations
@@ -87,9 +89,11 @@ _ROLES = {
     "prss": ("bits", "channel", "noise1", "reference", "noise2"),
 }
 
-# receiver rows per stacked variance chunk (4 trials at M = 512): the
-# chunk's arrays stay under about 1 MB, and larger chunks ran no faster
-_VARIANCE_ROWS = 1 << 11
+# receiver rows per stacked variance chunk (8 trials at M = 512): the
+# chunk's arrays peak near 2.3 MiB at rsr-sweep's 21 points; with the heap
+# kept (`_keep_heap`) this ran faster than 2^11 rows in 9 of 10 alternating
+# benchmark pairs
+_VARIANCE_ROWS = 1 << 12
 # channel entries per stacked BER chunk (1 MB): a whole batch at 8x4, 8
 # trials at 128x64; the ML detectors bound their own tables (detect._STACK)
 _BER_ENTRIES = 1 << 16
@@ -602,6 +606,32 @@ def _set_blas_threads(count: int) -> int | None:
     return former
 
 
+# glibc's mallopt parameters, and what a sweep sets them to. By default glibc
+# hands a freed chunk's numpy temporaries back to the kernel and faults them
+# in again on the next chunk. Setting either threshold also freezes glibc's
+# dynamic mmap threshold at 128 KiB, so both are set: the trim threshold keeps
+# up to 16 MiB of freed heap, and arrays up to 32 MiB (glibc's ceiling;
+# mallopt refuses more) come from that heap instead of their own mmap.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD = 16 << 20
+_MMAP_THRESHOLD = 32 << 20
+
+
+@lru_cache(maxsize=1)
+def _keep_heap() -> bool | None:
+    """Keep this process's freed heap between chunks (see _M_TRIM_THRESHOLD):
+    True once both thresholds are set, False if the C library refused one,
+    None where it has no mallopt. Process-wide and never undone; a worker
+    forked afterwards inherits it."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no C library to load
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return all([mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD),
+                mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)])
+
+
 # chunks per process in a parallel range: each chunk pays a fixed cost of
 # draws and detector set-up whatever its size, so fewer chunks run faster on
 # short ranges, while more let a faster process take over a slower one's
@@ -730,6 +760,7 @@ class _Runner:
         self.trials = 0
 
     def __enter__(self) -> "_Runner":
+        _keep_heap()  # before the first chunk allocates, and so in every worker
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -819,7 +850,8 @@ def run_environment(workers: int, workers_started: int) -> dict:
 
     blas_threads_per_worker is 1 when the run forked workers (`_Runner` caps
     every process of such a run), the process's own OpenBLAS thread count
-    for a run that never forked, and None when unknown.
+    for a run that never forked, and None when unknown. heap_kept is what
+    `_keep_heap` returned.
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
@@ -837,6 +869,7 @@ def run_environment(workers: int, workers_started: int) -> dict:
         "start_method": multiprocessing.get_start_method(),
         "workers": workers,
         "blas_threads_per_worker": per_worker,
+        "heap_kept": _keep_heap(),
     }
 
 

@@ -68,6 +68,7 @@ def test_manifest_records_run_environment(tmp_path):
     env = data["env"]
     assert set(env) == {
         "python", "numpy", "blas", "start_method", "workers", "blas_threads_per_worker",
+        "heap_kept",
     }
     assert env["numpy"] == np.__version__
     assert env["workers"] == 2
@@ -75,6 +76,8 @@ def test_manifest_records_run_environment(tmp_path):
     api = montecarlo._blas_threads()
     expected = None if api is None else 1 if data["workers_started"] else api.get()
     assert env["blas_threads_per_worker"] == expected
+    # what the sweep's mallopt call returned: true, false, or null with no mallopt
+    assert env["heap_kept"] is montecarlo._keep_heap()
     assert "env" not in data["config"]
     # the env block never reaches the CSV, and replaying ignores it
     assert main(["ber", "--config", str(out1 / "ber.manifest.json"), "--threads", "1",

@@ -740,6 +740,87 @@ def test_run_environment_without_a_build_config(monkeypatch):
     assert montecarlo.run_environment(1, 0)["blas"] is None
 
 
+@pytest.fixture
+def uncached_keep_heap():
+    """`_keep_heap` run afresh in the test, and again after it."""
+    montecarlo._keep_heap.cache_clear()
+    yield montecarlo._keep_heap
+    montecarlo._keep_heap.cache_clear()
+
+
+def _libc(monkeypatch, **symbols):
+    """Make the C library, as `_keep_heap` loads it, export just symbols;
+    every other library loads as usual."""
+    fake, real = types.SimpleNamespace(**symbols), montecarlo.ctypes.CDLL
+    monkeypatch.setattr(montecarlo.ctypes, "CDLL",
+                        lambda name, *a, **k: fake if name is None else real(name, *a, **k))
+
+
+_HEAP_SWEEPS = (
+    (run_ber_sweep, ExperimentConfig(m=4, n=2, scheme="rf_baseline", detector="zf",
+                                     snr_db_list=(5.0, 15.0), trials=40, target_errors=0,
+                                     master_seed=5)),
+    (run_phi_sweep, ExperimentConfig(m=16, n=2, samples=64, phi_list=(PI / 2, 0.9),
+                                     master_seed=6)),
+    (run_rsr_sweep, ExperimentConfig(m=16, n=2, samples=64, rsr_db_list=(20.0, 40.0),
+                                     master_seed=7)),
+)
+
+
+def test_keep_heap_sets_both_thresholds_once_per_process(monkeypatch, uncached_keep_heap):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    _libc(monkeypatch, mallopt=mallopt)
+    for _ in range(2):
+        for sweep, cfg in _HEAP_SWEEPS:
+            sweep(cfg)
+    # glibc's M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, set on the first sweep only
+    assert calls == [(-1, montecarlo._TRIM_THRESHOLD), (-3, montecarlo._MMAP_THRESHOLD)]
+    assert uncached_keep_heap() is True
+    assert montecarlo.run_environment(1, 0)["heap_kept"] is True
+
+
+@pytest.mark.parametrize("symbols, kept", [
+    ({}, None),  # no mallopt, as on a C library that is not glibc
+    ({"mallopt": lambda param, value: 0}, False),  # glibc refuses a value
+], ids=["no-mallopt", "refused"])
+def test_sweeps_run_as_usual_where_the_heap_is_not_kept(monkeypatch, tmp_path, symbols, kept,
+                                                        uncached_keep_heap):
+    expected = [sweep(cfg) for sweep, cfg in _HEAP_SWEEPS[:2]]
+    montecarlo._keep_heap.cache_clear()
+    _libc(monkeypatch, **symbols)
+    assert [sweep(cfg) for sweep, cfg in _HEAP_SWEEPS[:2]] == expected
+    assert uncached_keep_heap() is kept
+    args = ["ber", "--scheme", "rf_baseline", "--detector", "zf", "--m", "4", "--n", "2",
+            "--snr-db-list", "5", "--trials", "8", "--out", str(tmp_path)]
+    assert main(args) == 0
+    assert json.loads((tmp_path / "ber.manifest.json").read_text())["env"]["heap_kept"] is kept
+
+
+def test_a_kept_heap_makes_no_page_faults_between_chunks():
+    resource = pytest.importorskip("resource")
+    # the benchmark's rsr-sweep chunk: 512x2, every default strength and variance
+    cfg = ExperimentConfig(m=512, n=2, samples=4096, rsr_db_list=(15.0, 20.0, 25.0, 30.0, 35.0,
+                                                                  40.0, 45.0))
+    run_rsr_sweep(cfg)  # sets the heap up, as every sweep does
+    if montecarlo._keep_heap() is not True:
+        pytest.skip("the C library has no mallopt that takes both thresholds")
+    keys = trial_keys([(cfg.master_seed, 0, montecarlo._variance_step(cfg))],
+                      montecarlo._ROLES["prss"])
+    points = [(rsr, sv, PI / 2) for sv in cfg.sigma_v_sq_list for rsr in cfg.rsr_db_list]
+    montecarlo._variance_chunk(cfg, keys, points)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        montecarlo._variance_chunk(cfg, keys, points)
+    # with glibc's default thresholds a chunk faults its temporaries in anew:
+    # about 450 faults a chunk, 22,400 in these 50
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 50
+
+
 class _Clock:
     """A stand-in for `perf_counter` in `montecarlo`: the k-th block of
     trials that a sweep's caller times alone takes seconds[k] (the last
@@ -859,7 +940,7 @@ _VARIANCE_512 = ExperimentConfig(m=512, n=2, scheme="prss", samples=16 * 512, ma
 
 @pytest.mark.parametrize("sweep, cfg, block, serial_blocks, serial_keys", [
     # the benchmark's phi-sweep line: one round of 4 offsets x 16 trials,
-    # keyed once per offset; stacked chunks of 4 trials
+    # keyed once per offset; stacked chunks of 8 trials
     (run_phi_sweep, replace(_VARIANCE_512, rsr_db=30.0, sigma_v_sq=0.1,
                             phi_list=(-PI / 2, -PI / 4, PI / 4, PI / 2)),
      "_variance_spans", 1, 4),
